@@ -1160,9 +1160,9 @@ def ngram_jaccard_pairs(
         return batch.rename_columns(["id_b", "gram", "n_b"])
 
     right = g.map_batches(_rename, batch_format="pyarrow")
-    joined = g.join(
-        right, join_type="inner", num_partitions=num_partitions, on=("gram",)
-    )
+    from .joins import hash_join
+
+    joined = hash_join(g, right, on=("gram",), num_partitions=num_partitions)
 
     def _ordered(batch: pa.Table) -> pa.Table:
         a = np.asarray(K._as_array(batch[id_col]), dtype=np.int64)

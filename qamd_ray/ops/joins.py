@@ -110,6 +110,7 @@ def hash_join(
 
     ``num_partitions`` is the shuffle fan-out — size it to the cluster
     (partitions ≈ cores; each partition must fit a worker's heap).
+    The join's aggregator actors are sized by :func:`_join_aggregator_args`.
     """
     lkey = (on,) if isinstance(on, str) else tuple(on)
     rkey = (
@@ -123,7 +124,41 @@ def hash_join(
         num_partitions=num_partitions,
         on=lkey,
         right_on=rkey,
+        aggregator_ray_remote_args=_join_aggregator_args(num_partitions),
     )
+
+
+# Share of the cluster's CPUs and memory one join's aggregator pool may
+# reserve.  Every join in a plan holds its aggregators for the whole plan,
+# so chained joins add up: the minhash plan chains three.
+_JOIN_CLUSTER_SHARE = 1 / 8
+
+
+def _join_aggregator_args(num_partitions: int) -> dict:
+    """Ray remote args for one ``Dataset.join``'s aggregator actors, sized
+    from ``ray.cluster_resources()``.
+
+    Ray's default gives each join's aggregators up to half the CPUs and,
+    at the 128 MiB target block size, ~3.5 GiB of logical memory at four
+    partitions.  Three chained joins then ask for more memory than a
+    one-node cluster has; the last pool's actors never start and the plan
+    STALLS (no error, idle CPUs).  Capping each pool at
+    ``_JOIN_CLUSTER_SHARE`` of the cluster keeps up to seven chained joins
+    schedulable with CPU left for the map tasks that feed them."""
+    from ray.data import DataContext
+
+    ctx = DataContext.get_current()
+    num_aggregators = min(
+        num_partitions,
+        ctx.max_hash_shuffle_aggregators or ctx.default_hash_shuffle_parallelism,
+    )
+    res = ray.cluster_resources() if ray.is_initialized() else {}
+    share = _JOIN_CLUSTER_SHARE / num_aggregators
+    return {
+        "num_cpus": res.get("CPU", 1) * share,
+        "memory": int(res.get("memory", 0) * share),
+        "scheduling_strategy": "SPREAD",
+    }
 
 
 def _shuffle_partitions(requested: Optional[int] = None) -> int:
