@@ -11,16 +11,7 @@ A from-scratch reimplementation of the capabilities of ukdataservice/qamd
   (schema ``repo,path,commit,lang,content`` — BASELINE.json input_hint),
   streaming map_batches over zero-copy Arrow with actor pools for model
   stages, salted per-repo report aggregation, checkpointed resumability.
-* ``qamd_ray.ops`` — large-scale training-data operators: exact,
-  near- (MinHash-LSH, SimHash, n-gram Jaccard, embedding cosine,
-  SemDeDup) and substring-level deduplication, similarity search,
-  quality rules (Gopher/C4/Stack), data selection (DSIR), BPE vocab
-  induction/encoding, packing and chunking, privacy (k-anonymity,
-  l-diversity, scrubbing), sketches, joins (broadcast / hash-shuffle /
-  upsert), temporal analytics (as-of, range, sessions, funnels,
-  retention), profiling, and multimodal codecs.
-* ``qamd_ray.models`` — deterministic langid + perplexity models with
-  exact distributed fitting from the corpus.
+* ``qamd_ray.models`` — deterministic langid + perplexity models.
 
 Nothing here calls ray.init(); the caller owns the Ray session.
 """

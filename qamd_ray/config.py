@@ -110,8 +110,6 @@ class QualityFilter:
     alnum_ratio_min: Optional[Setting] = None  # float 0..1
     date_format: Optional[Setting] = None  # list[regex] flag-only
     duplicate_content: Optional[Setting] = None  # bool: drop non-first dups
-    repo_empty_content_threshold: Optional[Setting] = None  # int percent
-    unique_values: Optional[Setting] = None  # int occurrence threshold
     stopword_only: Optional[Setting] = None  # list[lexicon path]
     spell_unknown_ratio_max: Optional[Setting] = None  # float 0..1
     spell_dictionaries: Optional[Setting] = None  # list[path]
@@ -218,8 +216,6 @@ class Config:
         ]:
             if s is not None and int(s.setting) <= 0:
                 raise ValueError(f"{what}: length must be positive")
-        if qf.repo_empty_content_threshold is not None:
-            _pct(qf.repo_empty_content_threshold, "quality_filter.repo_empty_content_threshold")
 
     # -- lookups used by the dictionary checks (src/config.rs:42-60) -------
 

@@ -12,8 +12,6 @@ Reference semantics reimplemented (not ported):
                           src/check/dictionary.rs:117-122
 * ``spellcheck_ok``     — empty-or-all-known, src/check/dictionary.rs:15-17
 * ``stopword_ok``       — empty-or-not-all-stopwords, dictionary.rs:22-24
-* ``byte_length``       — Rust ``String::len`` byte semantics
-                          (src/check/variable.rs:83, post.rs:148)
 """
 
 from __future__ import annotations
@@ -198,11 +196,6 @@ def stopword_ok(arr: pa.Array, words: frozenset[str]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def byte_length(arr: pa.Array) -> pa.Array:
-    """UTF-8 byte length (Rust String::len semantics)."""
-    return pc.binary_length(arr)
-
-
 def char_class_ratio(arr: pa.Array, class_regex: str) -> np.ndarray:
     """Fraction of characters matching a regex char class, per string.
 
@@ -288,112 +281,13 @@ def load_wordlists(paths: Iterable[str]) -> frozenset[str]:
     return frozenset(words)
 
 
-def digest64(arr, algo: str = "md5") -> np.ndarray:
-    """First 8 digest bytes of every row as one int64 each — the compact
-    shuffle-key form of :func:`digest_rows` (same buffer-sliced hashing,
-    no hex round-trip).  Nulls hash as the empty string.  64 bits is a
-    GROUPING key, not an identity proof: callers must tolerate (or
-    document) the ~n²/2⁶⁴ collision odds."""
-    import hashlib as _hl
-
-    hasher = getattr(_hl, algo)
-    empty8 = hasher(b"").digest()[:8]
-    chunks = arr.chunks if isinstance(arr, pa.ChunkedArray) else [arr]
-    parts: list[np.ndarray] = []
-    for ch in chunks:
-        n = len(ch)
-        if n == 0:
-            continue
-        t = ch.type
-        if pa.types.is_large_string(t) or pa.types.is_large_binary(t):
-            odt = np.int64
-        elif pa.types.is_string(t) or pa.types.is_binary(t):
-            odt = np.int32
-        else:
-            raise TypeError(f"digest64: unsupported type {t}")
-        bufs = ch.buffers()
-        offs = np.frombuffer(bufs[1], dtype=odt, count=n + 1 + ch.offset)[
-            ch.offset :
-        ]
-        data = memoryview(bufs[2]) if bufs[2] is not None else memoryview(b"")
-        out = np.empty(n, dtype="S8")
-        if ch.null_count:
-            valid = ~np.asarray(ch.is_null())
-            for i in range(n):
-                out[i] = (
-                    hasher(data[offs[i] : offs[i + 1]]).digest()[:8]
-                    if valid[i]
-                    else empty8
-                )
-        else:
-            for i in range(n):
-                out[i] = hasher(data[offs[i] : offs[i + 1]]).digest()[:8]
-        parts.append(out.view(np.int64))
-    if not parts:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(parts)
-
-
 def force_distributed() -> bool:
     """True when ``QAMD_FORCE_DISTRIBUTED=1``: every size-routed op takes
     its at-scale (distributed) path regardless of input size.  The gate
-    runs the full query registry once in this mode
-    (``tools/check_queries.py --force-distributed``) — the cheapest proof
-    that the 100×-scale code paths are all correct, not only the ones
-    with forced-path unit tests.  Read at routing-decision time on the
+    runs the pipeline tests once in this mode
+    (``QAMD_FORCE_DISTRIBUTED=1 python -m pytest tests/test_quality_pipeline.py``)
+    — the cheapest proof that the at-scale code paths are correct on a
+    small input.  Read at routing-decision time on the
     driver, never inside batch fns, so a plain ``os.environ`` toggle is
     race-free."""
     return os.environ.get("QAMD_FORCE_DISTRIBUTED", "") == "1"
-
-
-def group_sentinel(values) -> list:
-    """Normalize group-key values for dict/threshold lookups: missing
-    keys (None, float NaN, pandas NA) become the single sentinel
-    ``"\\x00<null>"`` and everything else ``str(value)`` — applied at
-    EVERY group-key boundary so Arrow-side batch keys and pandas-born
-    aggregate keys (where a null group resurfaces as NaN) land on the
-    same dictionary entry.  The sentinel sorts before every printable
-    string, keeping threshold maps total-ordered.
-
-    A genuine (non-null) float NaN group VALUE raises: SQL's GROUP BY
-    keeps NaN distinct from NULL, so silently mapping it onto the null
-    sentinel would merge two groups the oracle keeps apart.  Bucket or
-    stringify raw float group columns upstream.  (Arrow-sourced values
-    arrive as None for nulls, so the NaN branch only ever sees a real
-    NaN payload.)"""
-    out = []
-    for g in values:
-        if g is None or g is getattr(pd, "NA", None):
-            out.append("\x00<null>")
-        elif isinstance(g, float) and g != g:
-            raise ValueError(
-                "group_sentinel: non-null float NaN group key — SQL GROUP "
-                "BY keeps NaN distinct from NULL; bucket or stringify the "
-                "group column upstream"
-            )
-        else:
-            out.append(str(g))
-    return out
-
-
-def json_field_pattern(field: str) -> str:
-    """RE2 pattern extracting a flat JSON integer field — shared
-    verbatim with DuckDB's ``regexp_extract`` so engine semantics can't
-    diverge (DuckDB's native json_extract differs on escape edge cases;
-    the shared-regex convention sidesteps that the same way the scrub
-    twins do).  Matches ``"<field>"\\s*:\\s*(-?digits)``."""
-    import re as _re
-
-    if not _re.fullmatch(r"[A-Za-z0-9_]+", field):
-        raise ValueError(f"json_field_pattern: unsafe field {field!r}")
-    return '"' + field + '"\\s*:\\s*(?P<v>-?[0-9]+)'
-
-
-def json_int_field(arr, field: str) -> "pa.Array":
-    """Vectorized flat-JSON integer field extraction over a string
-    column: one ``extract_regex`` kernel, null where absent/non-integer.
-    For the props-style payload columns event streams carry."""
-    ex = pc.extract_regex(
-        pc.fill_null(_as_array(arr), ""), json_field_pattern(field)
-    )
-    return pc.cast(pc.struct_field(ex, "v"), pa.int64())

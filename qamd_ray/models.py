@@ -39,7 +39,6 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -67,9 +66,8 @@ def _ppl_hashes(
     x: np.ndarray, dim3: int, dim2: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(trigram, context-bigram, bigram) hash streams of one int64 byte
-    sequence — the ONE definition shared by PerplexityModel.__init__,
-    bits_per_char and fit_perplexity_distributed (the distributed fit is
-    bit-identical only while all three hash identically)."""
+    sequence — the ONE definition shared by PerplexityModel.__init__ and
+    bits_per_char (scores are only meaningful while both hash identically)."""
     h3 = (x[:-2] * 1_000_003 + x[1:-1] * 8191 + x[2:]) % dim3
     hc2 = (x[:-2] * 8191 + x[1:-1]) % dim2
     hb2 = (x[:-1] * 8191 + x[1:]) % dim2
@@ -98,31 +96,9 @@ class LangIdModel:
                 h = _trigram_hashes(_bytes_of(text), dim)
                 if len(h):
                     np.add.at(counts[i], h, 1.0)
-        self._finalize(counts)
-
-    def _finalize(self, counts: np.ndarray) -> None:
         totals = counts.sum(axis=1, keepdims=True)
         logp = np.log(counts + self.alpha) - np.log(totals + self.alpha * self.dim)
         self.logp = logp.astype(np.float32)
-
-    @classmethod
-    def from_counts(
-        cls,
-        classes: Sequence[str],
-        counts: np.ndarray,
-        *,
-        dim: int = 1 << 15,
-        alpha: float = 0.5,
-    ) -> "LangIdModel":
-        """Build from a pre-accumulated (classes × dim) trigram count
-        matrix — the entry point for :func:`fit_langid_distributed`
-        (counts are integer sums, so any accumulation order yields
-        byte-identical weights)."""
-        m = cls.__new__(cls)
-        m.dim, m.alpha = dim, alpha
-        m.classes = list(classes)
-        m._finalize(np.asarray(counts, dtype=np.float64))
-        return m
 
     @classmethod
     def default(cls) -> "LangIdModel":
@@ -192,29 +168,6 @@ class PerplexityModel:
             np.add.at(u1, x, 1.0)
         self.t3, self.c2, self.b2, self.c1, self.u1 = t3, c2, b2, c1, u1
         self.total = u1.sum()
-
-    @classmethod
-    def from_counts(
-        cls,
-        t3: np.ndarray,
-        c2: np.ndarray,
-        b2: np.ndarray,
-        c1: np.ndarray,
-        u1: np.ndarray,
-        *,
-        alpha: float = 0.1,
-    ) -> "PerplexityModel":
-        """Build from pre-accumulated hashed count tables — the entry
-        point for :func:`fit_perplexity_distributed`."""
-        m = cls.__new__(cls)
-        m.dim3, m.dim2, m.alpha = len(t3), len(c2), alpha
-        m.t3 = np.asarray(t3, dtype=np.float64)
-        m.c2 = np.asarray(c2, dtype=np.float64)
-        m.b2 = np.asarray(b2, dtype=np.float64)
-        m.c1 = np.asarray(c1, dtype=np.float64)
-        m.u1 = np.asarray(u1, dtype=np.float64)
-        m.total = m.u1.sum()
-        return m
 
     @classmethod
     def default(cls) -> "PerplexityModel":
@@ -384,7 +337,6 @@ class ModelScorers:
         return {"langid_kwargs": lk, "ppl_kwargs": pk}
 
 
-
     def __call__(self, batch: pa.Table) -> pa.Table:
         langid, ppl = self._resolve()
         if langid is not None:
@@ -392,314 +344,3 @@ class ModelScorers:
         if ppl is not None:
             batch = ppl(batch)
         return batch
-
-
-# ---------------------------------------------------------------------------
-# distributed fitting (counts are mergeable integer sums, so the
-# distributed fit is EXACT — byte-identical weights to the in-process
-# constructor on the same texts, any batch/block order)
-# ---------------------------------------------------------------------------
-
-
-def _nonzero_key_counts(flat: np.ndarray) -> pa.Table:
-    """(k, n) rows of one batch's key multiset (np.unique combiner)."""
-    if flat.size == 0:
-        return pa.table(
-            {"k": pa.array([], pa.int64()), "n": pa.array([], pa.int64())}
-        )
-    uk, cnt = np.unique(flat, return_counts=True)
-    return pa.table({"k": uk.astype(np.int64), "n": cnt.astype(np.int64)})
-
-
-def _sum_keys(parts: "object") -> "object":
-    """groupby('k').sum('n') → pandas, tolerating the no-rows case."""
-    from ray.data.aggregate import Sum
-
-    df = parts.groupby("k").aggregate(Sum("n", alias_name="n")).to_pandas()
-    return df if "k" in df.columns else df.assign(k=[], n=[])
-
-
-def fit_langid_distributed(
-    ds: "object",
-    text_col: str = "text",
-    label_col: str = "lang",
-    *,
-    dim: int = 1 << 15,
-    alpha: float = 0.5,
-    classes: Optional[Sequence[str]] = None,
-) -> LangIdModel:
-    """Train :class:`LangIdModel` FROM the corpus itself: one streaming
-    pass emits per-batch nonzero (class·dim + trigram-hash, count) rows
-    (``np.unique`` combiner), a keys-only groupby sums them, and the
-    driver materializes the bounded (classes × dim) count matrix.
-    Rows with a label outside ``classes`` (or null) are skipped.
-
-    Exactness: the counts are integer sums, so this equals
-    ``LangIdModel(corpus_dict)`` on the same texts bit-for-bit
-    (tested in test_rules_models_scrub)."""
-    if classes is None:
-        # per-batch distinct labels + driver union (null-safe — a sorted
-        # groupby cannot compare None against str)
-        def _labels(batch: pa.Table) -> pa.Table:
-            u = sorted(set(pc.drop_null(K._as_array(batch[label_col])).to_pylist()))
-            return pa.table({"label_": pa.array(u, pa.string())})
-
-        lab = ds.map_batches(_labels, batch_format="pyarrow").to_pandas()
-        classes = (
-            sorted(set(lab["label_"])) if "label_" in lab.columns else []
-        )
-    classes = list(classes)
-    cls_idx = {c: i for i, c in enumerate(classes)}
-    n_cls = len(classes)
-    if n_cls == 0:
-        raise ValueError("no classes to fit")
-
-    def _partials(batch: pa.Table) -> pa.Table:
-        texts = K._as_array(pc.fill_null(batch[text_col], "")).to_pylist()
-        # null labels stay None → never a class key → genuinely skipped
-        # (filling to '' would corrupt a genuine empty-string class)
-        labels = K._as_array(batch[label_col]).to_pylist()
-        keys = []
-        for t, l in zip(texts, labels):
-            i = cls_idx.get(l)
-            if i is None:
-                continue
-            h = _trigram_hashes(_bytes_of(t), dim)
-            if len(h):
-                keys.append(i * dim + h)
-        flat = np.concatenate(keys) if keys else np.empty(0, np.int64)
-        return _nonzero_key_counts(flat)
-
-    agg = _sum_keys(ds.map_batches(_partials, batch_format="pyarrow"))
-    counts = np.zeros(n_cls * dim, dtype=np.float64)
-    counts[agg["k"].to_numpy(np.int64)] = agg["n"].to_numpy(np.int64)
-    return LangIdModel.from_counts(
-        classes, counts.reshape(n_cls, dim), dim=dim, alpha=alpha
-    )
-
-
-def fit_perplexity_distributed(
-    ds: "object",
-    text_col: str = "text",
-    *,
-    dim3: int = 1 << 22,
-    dim2: int = 1 << 18,
-    alpha: float = 0.1,
-) -> PerplexityModel:
-    """Train :class:`PerplexityModel` from the corpus: the five hashed
-    count tables ride ONE key space (offset-partitioned), one streaming
-    ``np.unique`` combiner pass + keys-only groupby sum; the collected
-    nonzero rows are bounded by the table sizes (≤ dim3 + 2·dim2 + 512)
-    regardless of corpus size.  Bit-identical to the in-process
-    constructor on the same texts."""
-    o_c2 = dim3
-    o_b2 = dim3 + dim2
-    o_c1 = dim3 + 2 * dim2
-    o_u1 = o_c1 + 256
-
-    def _partials(batch: pa.Table) -> pa.Table:
-        texts = K._as_array(pc.fill_null(batch[text_col], "")).to_pylist()
-        keys = []
-        for t in texts:
-            b = _bytes_of(t)
-            if len(b) < 3:
-                continue
-            x = b.astype(np.int64)
-            h3, hc2, hb2 = _ppl_hashes(x, dim3, dim2)
-            keys.append(h3)
-            keys.append(hc2 + o_c2)
-            keys.append(hb2 + o_b2)
-            keys.append(x[:-1] + o_c1)
-            keys.append(x + o_u1)
-        flat = np.concatenate(keys) if keys else np.empty(0, np.int64)
-        return _nonzero_key_counts(flat)
-
-    agg = _sum_keys(ds.map_batches(_partials, batch_format="pyarrow"))
-    dense = np.zeros(o_u1 + 256, dtype=np.float64)
-    dense[agg["k"].to_numpy(np.int64)] = agg["n"].to_numpy(np.int64)
-    return PerplexityModel.from_counts(
-        dense[:dim3],
-        dense[o_c2:o_b2],
-        dense[o_b2:o_c1],
-        dense[o_c1:o_u1],
-        dense[o_u1:],
-        alpha=alpha,
-    )
-
-
-# ---------------------------------------------------------------------------
-# integer-log2 naive Bayes (weak-label quality classifier)
-# ---------------------------------------------------------------------------
-
-
-class IntNBModel:
-    """Binary naive-Bayes text classifier whose weights are INTEGER log2
-    magnitudes (bit lengths), in the log-count-ratio family of NBSVM
-    (Wang & Manning 2012, "Baselines and Bigrams").  Trained from weak
-    labels (the FineWeb/Dolma pattern: a cheap rule labels the corpus, a
-    linear model generalizes it).  Substituting ``bit_length`` for
-    ``ln`` quantizes the usual NB log odds to integers, which makes the
-    ENTIRE model — training counts, weights, scores, predictions —
-    exactly reproducible in SQL (``length(bin(x))``), so the trained
-    classifier has a value-checked DuckDB twin rather than a rows-only
-    check.
-
-    Features are per-doc DISTINCT whitespace tokens (doc frequency, the
-    binarized "boolean NB" variant that beats raw counts on text); the
-    vocabulary is the ``vocab_size`` most document-frequent tokens
-    (tie-break: token ascending).
-
-    score(d) = Σ_{t ∈ d ∩ V} [blen(c1_t+1) − blen(c0_t+1)]
-               − |d ∩ V|·[blen(n1+2) − blen(n0+2)]
-               + blen(n1+1) − blen(n0+1),   pred = score > 0
-    where c_y,t = docs of class y containing t, n_y = docs of class y,
-    blen = bit length."""
-
-    def __init__(self, weights: dict, k_w: int, bias: int):
-        self.weights = weights
-        self.k_w = int(k_w)
-        self.bias = int(bias)
-
-    def score_batch(self, texts: list) -> tuple:
-        """→ (scores int64, preds bool) arrays for a list of raw texts.
-        Tokenizes with the SAME Arrow kernels as the training pass
-        (``utf8_lower`` + literal ASCII ``_WS_CLASS`` split) — Python's
-        ``str.lower``/``str.split`` diverge on Unicode case pairs and
-        NBSP and would break the twin."""
-        from .ops.textstats import _WS_CLASS
-
-        lowered = pc.utf8_lower(
-            pc.fill_null(pa.array(texts, pa.string()), "")
-        )
-        toks = pc.split_pattern_regex(lowered, _WS_CLASS)
-        w = self.weights
-        scores = np.empty(len(texts), dtype=np.int64)
-        for i in range(len(texts)):
-            seen = {t for t in toks[i].as_py() if t}
-            s, k = 0, 0
-            for x in seen:
-                wt = w.get(x)
-                if wt is not None:
-                    s += wt
-                    k += 1
-            scores[i] = s - k * self.k_w + self.bias
-        return scores, scores > 0
-
-
-def _distinct_token_partials(text_col: str, label_col: str):
-    """Batch fn → (token, c1, tot) partial doc-frequency rows, tokens
-    deduped per doc inside the batch (combiner); tokenization shared
-    verbatim with the langid twin (_WS_CLASS split + lower)."""
-    from .ops.textstats import _WS_CLASS
-
-    def _f(batch: pa.Table) -> pa.Table:
-        text = pc.utf8_lower(pc.fill_null(K._as_array(batch[text_col]), ""))
-        toks = K._as_array(pc.split_pattern_regex(text, _WS_CLASS))
-        y = np.asarray(K._as_array(batch[label_col]), dtype=np.int64)
-        out_tok: list = []
-        out_y: list = []
-        for i in range(len(batch)):
-            s = {t for t in toks[i].as_py() if t}
-            out_tok.extend(s)
-            out_y.extend([int(y[i])] * len(s))
-        if not out_tok:
-            return pa.table(
-                {
-                    "token": pa.array([], pa.string()),
-                    "c1": pa.array([], pa.int64()),
-                    "tot": pa.array([], pa.int64()),
-                }
-            )
-        df = (
-            pd.DataFrame({"token": out_tok, "c1": out_y})
-            .groupby("token", sort=False)
-            .agg(c1=("c1", "sum"), tot=("c1", "size"))
-            .reset_index()
-        )
-        return pa.table(
-            {
-                "token": pa.array(df["token"], pa.string()),
-                "c1": pa.array(df["c1"].to_numpy(np.int64)),
-                "tot": pa.array(df["tot"].to_numpy(np.int64)),
-            }
-        )
-
-    return _f
-
-
-def fit_int_nb_distributed(
-    ds: "object",
-    text_col: str = "text",
-    label_col: str = "y",
-    *,
-    vocab_size: int = 256,
-) -> IntNBModel:
-    """Fit :class:`IntNBModel` over a labeled Dataset.  One streaming
-    distinct-token pass (per-batch pandas combiner) → keys-only
-    ``groupby(token)`` sum → bounded ``grouped_topk`` vocabulary
-    selection (O(vocab × batches) partials, never O(tokens) to the
-    driver) → integer weights.  Class sizes come from one small Sum/Count
-    aggregate.  Integer counts throughout, so the distributed fit is
-    bit-identical to any single-process fit over the same rows."""
-    from ray.data.aggregate import Count, Sum
-
-    from .ops.topk import grouped_topk
-
-    sums = ds.aggregate(Sum(label_col, alias_name="n1"), Count(alias_name="n"))
-    n1 = int(sums["n1"] or 0)
-    n0 = int(sums["n"]) - n1
-
-    cnt = (
-        ds.map_batches(
-            _distinct_token_partials(text_col, label_col), batch_format="pyarrow"
-        )
-        .groupby("token")
-        .aggregate(Sum("c1", alias_name="c1"), Sum("tot", alias_name="tot"))
-    )
-    vocab = grouped_topk(
-        cnt.map_batches(
-            lambda b: b.append_column("_g", pa.array([0] * len(b), pa.int64())),
-            batch_format="pyarrow",
-        ),
-        ["_g"],
-        "tot",
-        vocab_size,
-        tiebreak=["token"],
-    )
-    c1 = vocab["c1"].to_numpy(np.int64)
-    c0 = vocab["tot"].to_numpy(np.int64) - c1
-    weights = {
-        t: int(c1i + 1).bit_length() - int(c0i + 1).bit_length()
-        for t, c1i, c0i in zip(vocab["token"], c1, c0)
-    }
-    k_w = (n1 + 2).bit_length() - (n0 + 2).bit_length()
-    bias = (n1 + 1).bit_length() - (n0 + 1).bit_length()
-    return IntNBModel(weights, k_w, bias)
-
-
-def int_nb_scores(
-    ds: "object",
-    model: IntNBModel,
-    text_col: str = "text",
-    id_col: str = "doc_id",
-) -> "object":
-    """Score every row with a fitted :class:`IntNBModel` →
-    (id, nb_score, nb_pred).  The model dict is broadcast once via
-    ``ray.put`` and read per task — never re-shipped per batch."""
-    import ray as _ray
-
-    ref = _ray.put(model)
-
-    def _score(batch: pa.Table) -> pa.Table:
-        m = _ray.get(ref)
-        texts = K._as_array(pc.fill_null(batch[text_col], "")).to_pylist()
-        scores, preds = m.score_batch(texts)
-        return pa.table(
-            {
-                id_col: batch[id_col],
-                "nb_score": pa.array(scores),
-                "nb_pred": pa.array(preds),
-            }
-        )
-
-    return ds.map_batches(_score, batch_format="pyarrow")

@@ -27,7 +27,8 @@ Scale notes, explicit:
 * The duplicate winner map (one entry per duplicated distinct content) is
   collected to the driver and broadcast via ``ray.put`` — right whenever
   dups are a modest fraction (the common corpus case).  For dup-dominated
-  inputs use ops.dedup's fully distributed groupby path instead.
+  inputs the winner table stays a Dataset (``duplicate_winners_dataset``)
+  and ``finalize`` flags duplicates with a hash-shuffle join.
 * Checkpoint/resume (north rule): ``run_checkpointed`` shards the input by
   Parquet row group, writes ``part=<k>/data/`` (task-written Parquet files,
   atomically published by directory rename) + ``manifest.json`` per shard,
@@ -37,7 +38,6 @@ Scale notes, explicit:
 from __future__ import annotations
 
 import glob
-import hashlib
 import json
 import os
 import time
@@ -51,7 +51,7 @@ import pyarrow.parquet as pq
 
 import ray
 import ray.data
-from ray.data.aggregate import Count, Max, Min, Sum
+from ray.data.aggregate import Count, Min, Sum
 
 from . import kernels as K
 from .config import Config
@@ -73,6 +73,106 @@ def _as_dataset(source: Datasetish, columns: Optional[list[str]] = None) -> "ray
 
 
 # ---------------------------------------------------------------------------
+# hash-shuffle join helpers (the dup-dominated winner-table path)
+# ---------------------------------------------------------------------------
+
+# Share of the cluster's CPUs and memory one join's aggregator pool may
+# reserve.  Every join in a plan holds its aggregators for the whole plan,
+# so chained joins add up.
+_JOIN_CLUSTER_SHARE = 1 / 8
+
+
+def hash_join(
+    left: "ray.data.Dataset",
+    right: "ray.data.Dataset",
+    on: str | Sequence[str],
+    how: str = "inner",
+) -> "ray.data.Dataset":
+    """Distributed hash-shuffle join (``Dataset.join``): both sides are
+    hash-partitioned on the key, so neither needs to fit in memory.
+
+    Fan-out is one partition per CPU (at least 2).  The aggregator actors
+    are sized from ``ray.cluster_resources()``: Ray's default reserves
+    ~3.5 GiB of logical memory for each join's aggregators at four
+    partitions (128 MiB target blocks), and a shuffle task whose input
+    block reports no size — an empty block left by a filter — asks for
+    2 GiB.  Three chained joins reserve nearly all of a 10.8 GiB node, so
+    that task never schedules and the plan STALLS with idle CPUs and no
+    error.  Capping each pool at ``_JOIN_CLUSTER_SHARE`` of the cluster's
+    CPUs and memory leaves the rest to the tasks that feed the joins."""
+    ctx = ray.data.DataContext.get_current()
+    res = ray.cluster_resources()
+    num_partitions = max(2, int(res.get("CPU", 1)))
+    num_aggregators = min(
+        num_partitions,
+        ctx.max_hash_shuffle_aggregators or ctx.default_hash_shuffle_parallelism,
+    )
+    share = _JOIN_CLUSTER_SHARE / num_aggregators
+    return left.join(
+        right,
+        join_type=how,
+        num_partitions=num_partitions,
+        on=(on,) if isinstance(on, str) else tuple(on),
+        aggregator_ray_remote_args={
+            "num_cpus": res.get("CPU", 1) * share,
+            "memory": int(res.get("memory", 0) * share),
+            "scheduling_strategy": "SPREAD",
+        },
+    )
+
+
+def _coerce_cols(names_types: list[tuple[str, pa.DataType]]):
+    """Batch fn pinning an exact Arrow schema (column order + types);
+    missing columns become typed nulls of the batch length (an empty
+    batch gets typed empty arrays; a left_outer join partition with no
+    right-side rows can emit non-empty blocks MISSING the right-side
+    columns — their correct value is null)."""
+
+    def _f(batch: pa.Table) -> pa.Table:
+        cols = {}
+        for name, typ in names_types:
+            cols[name] = (
+                pc.cast(batch[name], typ)
+                if name in batch.column_names
+                else pa.nulls(batch.num_rows, typ)
+            )
+        return pa.table(cols)
+
+    return _f
+
+
+def _compact(
+    ds: "ray.data.Dataset", names_types: list[tuple[str, pa.DataType]]
+) -> "ray.data.Dataset":
+    """Materialize ``ds`` and rebuild it from only its NON-EMPTY blocks,
+    as Arrow with a pinned schema.
+
+    Ray hash aggregates emit schemaless empty blocks for empty shuffle
+    partitions, and downstream maps skip zero-row blocks, so the poison
+    propagates; ``Dataset.join`` distributes each side's schema to its
+    aggregators from the FIRST incoming block, so a schemaless block
+    arriving first makes the join fail nondeterministically with "No
+    match for key field".  Blocks stay in the object store — row counts
+    come from tiny num_cpus=0 tasks, never a driver fetch.
+    """
+    refs = ds.materialize().to_arrow_refs()
+
+    @ray.remote(num_cpus=0)
+    def _n(t: pa.Table) -> int:
+        return t.num_rows
+
+    counts = ray.get([_n.remote(r) for r in refs])
+    keep = [r for r, n in zip(refs, counts) if n > 0]
+    if not keep:
+        return ray.data.from_arrow(
+            pa.table({name: pa.array([], typ) for name, typ in names_types})
+        )
+    return ray.data.from_arrow_refs(keep).map_batches(
+        _coerce_cols(names_types), batch_format="pyarrow"
+    )
+
+
+# ---------------------------------------------------------------------------
 # stages
 # ---------------------------------------------------------------------------
 
@@ -81,7 +181,6 @@ def enrich(
     ds: "ray.data.Dataset",
     config: Config,
     *,
-    model_concurrency: Union[int, tuple] = 4,
     model_batch_size: int = 512,
 ) -> "ray.data.Dataset":
     """rules → fused langid+perplexity, all stateless tasks.
@@ -90,9 +189,7 @@ def enrich(
     worker process constructs them lazily on first use and caches them
     module-level (models._SCORER_CACHE) — measured faster than both an
     actor pool (per-run actor spin-up) and object-store broadcast
-    (fetch + localize of ~70 MB of tables costs more than re-training).
-    ``model_concurrency`` is kept for API compatibility with the eager
-    actor-pool deployment of ModelScorers."""
+    (fetch + localize of ~70 MB of tables costs more than re-training)."""
     out = ds.map_batches(RowRules(config), batch_format="pyarrow")
     kw = ModelScorers.from_config(config)
     if kw is not None:
@@ -174,15 +271,12 @@ def duplicate_winners(
     return dict(zip(dups["content_sha256"], dups["winner"]))
 
 
-def duplicate_winners_dataset(
-    keys_ds: "ray.data.Dataset", num_partitions: Optional[int] = None
-) -> "ray.data.Dataset":
+def duplicate_winners_dataset(keys_ds: "ray.data.Dataset") -> "ray.data.Dataset":
     """(content_sha256, winner) for every sha seen more than once, as a
     never-collected Dataset — the at-scale form of
     :func:`duplicate_winners` for dup-dominated corpora where the winner
     map does not fit the driver.  Feed it to :func:`finalize`, which flags
     duplicates with a hash-shuffle join instead of a broadcast dict."""
-    from .ops.joins import _compact
 
     def _with_key(batch: pa.Table) -> pa.Table:
         repos = np.asarray(K._as_array(batch["repo"]), dtype=object)
@@ -253,120 +347,6 @@ def _winners_from_files(
     return dict(zip(dups["content_sha256"], dups["winner"]))
 
 
-def repo_integrity(
-    source: Datasetish, config: Optional[Config] = None
-) -> "ray.data.Dataset":
-    """Per-repo value-integrity stats + threshold flags — the repo-level
-    twins of SystemMissingOverThreshold (post.rs:303-351) and
-    VariablesWithUniqueValues / constant-value detection (post.rs:394-418),
-    with the repo playing the reference's "variable" role.
-
-    → (repo, n_rows, n_distinct, n_empty, min_occ, max_occ
-       [, f_repo_empty, f_repo_unique, f_repo_constant when config sets
-       repo_empty_content_threshold / unique_values]).
-
-    Shuffle shape: one groupby over (repo, content_sha256) — keys only —
-    then a per-repo aggregate of the group-count table.  Skewed giant
-    repos are fine: the second aggregate reduces one row per distinct
-    content, already combined by the first.
-    """
-    ds = _as_dataset(source, columns=["repo", "path", "content"])
-    keys = content_keys(ds)
-
-    EMPTY_SHA = hashlib.sha256(b"").hexdigest()
-
-    per_value = (
-        keys.select_columns(["repo", "content_sha256"])
-        .groupby(["repo", "content_sha256"])
-        .aggregate(Count(alias_name="c"))
-    )
-
-    def _derive(batch: pa.Table) -> pa.Table:
-        c = np.asarray(K._as_array(batch["c"]), dtype=np.int64)
-        sha = np.asarray(K._as_array(batch["content_sha256"]), dtype=object)
-        empty = np.where(sha == EMPTY_SHA, c, 0)
-        return pa.table(
-            {
-                "repo": batch["repo"],
-                "n_rows": pa.array(c),
-                "one": pa.array(np.ones(len(batch), dtype=np.int64)),
-                "n_empty": pa.array(empty),
-                "c": batch["c"],
-            }
-        )
-
-    agg = (
-        per_value.map_batches(_derive, batch_format="pyarrow")
-        .groupby("repo")
-        .aggregate(
-            Sum("n_rows", alias_name="n_rows"),
-            Sum("one", alias_name="n_distinct"),
-            Sum("n_empty", alias_name="n_empty"),
-            Min("c", alias_name="min_occ"),
-            Max("c", alias_name="max_occ"),
-        )
-    )
-
-    if config is None:
-        return agg
-    q = config.quality_filter
-    empty_t = (
-        int(q.repo_empty_content_threshold.setting)
-        if q.repo_empty_content_threshold is not None
-        else None
-    )
-    uniq_t = int(q.unique_values.setting) if q.unique_values is not None else None
-
-    def _flags(batch: pa.Table) -> pa.Table:
-        n = np.asarray(K._as_array(batch["n_rows"]), dtype=np.int64)
-        if empty_t is not None:
-            ne = np.asarray(K._as_array(batch["n_empty"]), dtype=np.int64)
-            batch = batch.append_column(
-                "f_repo_empty", pa.array(ne * 100.0 / np.maximum(n, 1) > empty_t)
-            )
-        if uniq_t is not None:
-            mo = np.asarray(K._as_array(batch["min_occ"]), dtype=np.int64)
-            mx = np.asarray(K._as_array(batch["max_occ"]), dtype=np.int64)
-            batch = batch.append_column("f_repo_unique", pa.array(mo <= uniq_t))
-            # constant-value dual: one content accounts for the whole repo
-            batch = batch.append_column("f_repo_constant", pa.array(mx == n))
-        return batch
-
-    return agg.map_batches(_flags, batch_format="pyarrow")
-
-
-def duplicate_losers(enriched: "ray.data.Dataset") -> list[tuple[str, str]]:
-    """(repo,path) of every non-first duplicate — winner-map complement,
-    materialized for callers that need the explicit list (tests, reports).
-    """
-    winners = duplicate_winners(enriched)
-    if not winners:
-        return []
-    ref = ray.put(winners)
-
-    def _losers(batch: pa.Table) -> pa.Table:
-        wmap = ray.get(ref)
-        shas = np.asarray(K._as_array(batch["content_sha256"]), dtype=object)
-        repos = np.asarray(K._as_array(batch["repo"]), dtype=object)
-        paths = np.asarray(K._as_array(batch["path"]), dtype=object)
-        mask = np.fromiter(
-            (s in wmap and f"{r}\x00{p}" != wmap[s] for s, r, p in zip(shas, repos, paths)),
-            bool,
-            len(batch),
-        )
-        sel = np.nonzero(mask)[0]
-        return pa.table(
-            {"repo": pa.array(repos[sel], pa.string()), "path": pa.array(paths[sel], pa.string())}
-        )
-
-    losers = (
-        enriched.select_columns(["content_sha256", "repo", "path"])
-        .map_batches(_losers, batch_format="pyarrow")
-        .take_all()
-    )
-    return [(r["repo"], r["path"]) for r in losers]
-
-
 def finalize(
     enriched: "ray.data.Dataset",
     config: Config,
@@ -393,15 +373,7 @@ def finalize(
         # winner table just means "no duplicates"
         winners = {}
     if want_dup and isinstance(winners, ray.data.Dataset):
-        from .ops.joins import _shuffle_partitions, hash_join
-
-        joined = hash_join(
-            ds,
-            winners,
-            on=("content_sha256",),
-            how="left_outer",
-            num_partitions=_shuffle_partitions(),
-        )
+        joined = hash_join(ds, winners, on="content_sha256", how="left_outer")
 
         def _dup_join(batch: pa.Table) -> pa.Table:
             if "winner" not in batch.column_names:
@@ -496,7 +468,6 @@ def quality_pipeline(
     source: Datasetish,
     config: Config,
     *,
-    model_concurrency: Union[int, tuple] = 4,
     model_batch_size: int = 512,
     dup_broadcast_threshold: int = 5_000_000,
 ) -> "ray.data.Dataset":
@@ -556,9 +527,7 @@ def quality_pipeline(
                 winners = dict(zip(wdf["content_sha256"], wdf["winner"]))
             else:
                 winners = wds
-    enriched = enrich(
-        ds, config, model_concurrency=model_concurrency, model_batch_size=model_batch_size
-    )
+    enriched = enrich(ds, config, model_batch_size=model_batch_size)
     return finalize(enriched, config, winners)
 
 
@@ -792,7 +761,6 @@ def run_checkpointed(
     config: Config,
     *,
     num_shards: int = 16,
-    model_concurrency: Union[int, tuple] = 2,
     model_batch_size: int = 512,
     dup_broadcast_threshold: int = 5_000_000,
 ) -> dict:
@@ -825,9 +793,7 @@ def run_checkpointed(
         t0 = time.time()
         os.makedirs(part, exist_ok=True)
         ds = _read_shard(tasks, INPUT_COLUMNS)
-        enriched = enrich(
-            ds, config, model_concurrency=model_concurrency, model_batch_size=model_batch_size
-        )
+        enriched = enrich(ds, config, model_batch_size=model_batch_size)
         rows, files = _write_shard(enriched, part)
         content_bytes = 0
         for p in files:

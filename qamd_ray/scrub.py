@@ -165,362 +165,3 @@ class Scrubber:
         return out.append_column("scrubbed", pa.array(n_scrubs > 0)).append_column(
             "n_scrubs", pa.array(n_scrubs)
         )
-
-
-# ---------------------------------------------------------------------------
-# Luhn-validated payment-card detection / scrubbing
-# ---------------------------------------------------------------------------
-
-#: 13-19 digits with optional single space/dash separators.  RE2-compatible
-#: (no lookaround), and Python re / RE2 agree on it exactly: both match
-#: leftmost, greedy, non-overlapping — so the DuckDB ``regexp_extract_all``
-#: twin sees the identical candidate list.
-CARD_CANDIDATE_PATTERN = r"[0-9](?:[ -]?[0-9]){12,18}"
-_CARD_RX = re.compile(CARD_CANDIDATE_PATTERN)
-_CARD_MAXLEN = 19
-
-
-def luhn_valid(candidates: "np.ndarray") -> "np.ndarray":
-    """Vectorized Luhn checksum (ISO/IEC 7812-1 Annex B) over an array of
-    separator-stripped digit strings (each 13-19 chars): pad-left with
-    '0' to 19 (a left zero lands on a doubled position and 2·0 = 0, so
-    right-alignment preserves the checksum), one byte matrix, doubled
-    every second digit from the right, >9 → −9, sum % 10 == 0."""
-    if len(candidates) == 0:
-        return np.zeros(0, dtype=bool)
-    padded = [s.rjust(_CARD_MAXLEN, "0") for s in candidates]
-    mat = (
-        np.frombuffer("".join(padded).encode("ascii"), dtype=np.uint8)
-        .reshape(-1, _CARD_MAXLEN)
-        .astype(np.int64)
-        - 48
-    )
-    dist = _CARD_MAXLEN - 1 - np.arange(_CARD_MAXLEN)  # distance from right
-    dbl = mat * 2
-    dbl[dbl > 9] -= 9
-    total = np.where(dist % 2 == 1, dbl, mat).sum(axis=1)
-    return total % 10 == 0
-
-
-def _strip_seps(s: str) -> str:
-    return s.replace(" ", "").replace("-", "")
-
-
-def luhn_card_scan(
-    ds: "object",
-    text_col: str = "content",
-    id_col: str = "doc_id",
-) -> "object":
-    """Per-row payment-card detection: ``n_candidates`` = non-overlapping
-    13-19-digit runs (single space/dash separators allowed) and
-    ``n_cards`` = the subset passing the Luhn checksum — the card-number
-    analogue of the reference's ValueRegexPatterns flag check
-    (/root/reference/src/check/post.rs:354-391), which regex-matches but
-    cannot validate checksums.  Pure stateless ``map_batches`` stage:
-    one Arrow prefilter kernel on the common (no digits) path, pandas
-    ``str.findall`` + one vectorized Luhn matrix on candidate rows.
-    DuckDB twin: ``regexp_extract_all`` + a ``list_filter`` Luhn lambda
-    (value-exact — both engines match leftmost-greedy-non-overlapping)."""
-    import pandas as pd
-
-    def _scan(batch: pa.Table) -> pa.Table:
-        n = len(batch)
-        ids = batch[id_col]
-        n_cand = np.zeros(n, dtype=np.int64)
-        n_card = np.zeros(n, dtype=np.int64)
-        if n:
-            content = K._as_array(pc.fill_null(batch[text_col], ""))
-            has = np.asarray(
-                K._as_array(
-                    pc.match_substring_regex(content, CARD_CANDIDATE_PATTERN)
-                ).fill_null(False)
-            )
-            idx = np.nonzero(has)[0]
-            if len(idx):
-                hits = pd.Series(content.take(pa.array(idx)).to_pylist()).str.findall(
-                    _CARD_RX
-                )
-                counts = hits.str.len().to_numpy(dtype=np.int64)
-                n_cand[idx] = counts
-                flat = [_strip_seps(c) for row in hits for c in row]
-                valid = luhn_valid(np.asarray(flat, dtype=object))
-                owner = np.repeat(idx, counts)
-                np.add.at(n_card, owner, valid.astype(np.int64))
-        return pa.table(
-            {
-                id_col: ids,
-                "n_candidates": pa.array(n_cand),
-                "n_cards": pa.array(n_card),
-            }
-        )
-
-    return ds.map_batches(_scan, batch_format="pyarrow")
-
-
-def scrub_cards(
-    ds: "object",
-    text_col: str = "content",
-    replace: str = "<CARD>",
-) -> "object":
-    """Rewrite Luhn-VALID card numbers in place (invalid 13-19-digit runs
-    — order ids, timestamps, hashes — pass through untouched, unlike a
-    bare regex scrub which would mangle them).  Same two-phase shape as
-    :class:`Scrubber`: vectorized Arrow prefilter, Python ``re.sub``
-    with a checksum-checking callable only on candidate rows; untouched
-    rows keep byte-identical content (the sha256 pass-through
-    invariant).  Adds ``n_card_scrubs``."""
-
-    def _sub_count(s: str) -> tuple[str, int]:
-        cnt = 0
-
-        def repl(m: re.Match) -> str:
-            nonlocal cnt
-            if bool(luhn_valid(np.asarray([_strip_seps(m.group(0))], dtype=object))[0]):
-                cnt += 1
-                return replace
-            return m.group(0)
-
-        return _CARD_RX.sub(repl, s), cnt
-
-    def _scrub(batch: pa.Table) -> pa.Table:
-        n = len(batch)
-        n_scr = np.zeros(n, dtype=np.int64)
-        out = batch
-        if n:
-            content = K._as_array(pc.fill_null(batch[text_col], ""))
-            has = np.asarray(
-                K._as_array(
-                    pc.match_substring_regex(content, CARD_CANDIDATE_PATTERN)
-                ).fill_null(False)
-            )
-            idx = np.nonzero(has)[0]
-            if len(idx):
-                vals = content.to_pylist()
-                changed = False
-                for i in idx:
-                    after, cnt = _sub_count(vals[i])
-                    if cnt:
-                        vals[i] = after
-                        n_scr[i] = cnt
-                        changed = True
-                if changed:
-                    ci = batch.column_names.index(text_col)
-                    out = batch.set_column(ci, text_col, pa.array(vals, pa.string()))
-        return out.append_column("n_card_scrubs", pa.array(n_scr))
-
-    return ds.map_batches(_scrub, batch_format="pyarrow")
-
-
-# ---------------------------------------------------------------------------
-# IBAN detection (ISO 13616 mod-97)
-# ---------------------------------------------------------------------------
-
-#: Two uppercase letters (country), two check digits, 11-30 more uppercase
-#: alphanumerics (total 15-34, covering every real IBAN length), word-
-#: bounded.  ASCII-only, no lookaround: Python re and DuckDB RE2 agree
-#: exactly (including ``\b`` on ASCII).
-IBAN_CANDIDATE_PATTERN = r"\b[A-Z]{2}[0-9]{2}[A-Z0-9]{11,30}\b"
-_IBAN_RX = re.compile(IBAN_CANDIDATE_PATTERN)
-# letters expand to two digits: 34 chars -> at most 68 digits
-_IBAN_MAXDIGITS = 68
-#: 10^k mod 97 for k = 0..67, most-significant-first for a 68-wide matrix.
-_POW10_MOD97 = np.array(
-    [pow(10, _IBAN_MAXDIGITS - 1 - k, 97) for k in range(_IBAN_MAXDIGITS)],
-    dtype=np.int64,
-)
-
-
-def _iban_digits(candidate: str) -> str:
-    """ISO 13616 rearrangement + letter expansion: move the first four
-    chars to the end, then A->10 .. Z->35."""
-    r = candidate[4:] + candidate[:4]
-    return "".join(str(ord(c) - 55) if c.isalpha() else c for c in r)
-
-
-def iban_valid(candidates: "np.ndarray") -> "np.ndarray":
-    """Vectorized ISO 13616 mod-97 check over candidate strings matching
-    :data:`IBAN_CANDIDATE_PATTERN`: rearranged+expanded digit strings are
-    left-padded with '0' (leading zeros don't change the value), one byte
-    matrix, dot with precomputed ``10^k mod 97`` weights, valid iff the
-    remainder is 1.  The per-candidate expansion is scalar Python but
-    candidates only exist on regex-prefiltered rows (same bounded shape
-    as the Luhn scan)."""
-    if len(candidates) == 0:
-        return np.zeros(0, dtype=bool)
-    digit_strs = [_iban_digits(c).rjust(_IBAN_MAXDIGITS, "0") for c in candidates]
-    mat = (
-        np.frombuffer("".join(digit_strs).encode("ascii"), dtype=np.uint8)
-        .reshape(-1, _IBAN_MAXDIGITS)
-        .astype(np.int64)
-        - 48
-    )
-    return (mat @ _POW10_MOD97) % 97 == 1
-
-
-def iban_scan(
-    ds: "object",
-    text_col: str = "content",
-    id_col: str = "doc_id",
-) -> "object":
-    """Per-row IBAN detection: ``n_candidates`` = word-bounded
-    2-letter/2-digit/11-30-alnum runs, ``n_ibans`` = the subset passing
-    the ISO 13616 mod-97 checksum.  Companion to :func:`luhn_card_scan`
-    (the reference's ValueRegexPatterns check family,
-    /root/reference/src/check/post.rs:354-391, extended with checksum
-    validation a bare regex cannot express).  Stateless ``map_batches``:
-    Arrow regex prefilter on the common path, vectorized mod-97 matrix on
-    candidate rows.  DuckDB twin: ``regexp_extract_all`` + a
-    ``list_reduce`` fold ``(acc*10+digit) % 97`` over the rearranged,
-    letter-expanded candidate."""
-    import pandas as pd
-
-    def _scan(batch: pa.Table) -> pa.Table:
-        n = len(batch)
-        ids = batch[id_col]
-        n_cand = np.zeros(n, dtype=np.int64)
-        n_val = np.zeros(n, dtype=np.int64)
-        if n:
-            content = K._as_array(pc.fill_null(batch[text_col], ""))
-            has = np.asarray(
-                K._as_array(
-                    pc.match_substring_regex(content, IBAN_CANDIDATE_PATTERN)
-                ).fill_null(False)
-            )
-            idx = np.nonzero(has)[0]
-            if len(idx):
-                hits = pd.Series(content.take(pa.array(idx)).to_pylist()).str.findall(
-                    _IBAN_RX
-                )
-                counts = hits.str.len().to_numpy(dtype=np.int64)
-                n_cand[idx] = counts
-                flat = [c for row in hits for c in row]
-                valid = iban_valid(np.asarray(flat, dtype=object))
-                owner = np.repeat(idx, counts)
-                np.add.at(n_val, owner, valid.astype(np.int64))
-        return pa.table(
-            {
-                id_col: ids,
-                "n_candidates": pa.array(n_cand),
-                "n_ibans": pa.array(n_val),
-            }
-        )
-
-    return ds.map_batches(_scan, batch_format="pyarrow")
-
-
-def scrub_ibans(
-    ds: "object",
-    text_col: str = "content",
-    replace: str = "<IBAN>",
-) -> "object":
-    """Rewrite mod-97-VALID IBANs in place (checksum-failing candidates —
-    ticket ids, serials — pass through untouched).  Same two-phase shape
-    as :func:`scrub_cards`: vectorized Arrow prefilter, Python ``re.sub``
-    with a checksum-checking callable only on candidate rows; untouched
-    rows keep byte-identical content (the sha256 pass-through
-    invariant).  Adds ``n_iban_scrubs``."""
-
-    def _sub_count(s: str) -> tuple[str, int]:
-        cnt = 0
-
-        def repl(m: re.Match) -> str:
-            nonlocal cnt
-            if bool(iban_valid(np.asarray([m.group(0)], dtype=object))[0]):
-                cnt += 1
-                return replace
-            return m.group(0)
-
-        return _IBAN_RX.sub(repl, s), cnt
-
-    def _scrub(batch: pa.Table) -> pa.Table:
-        n = len(batch)
-        n_scr = np.zeros(n, dtype=np.int64)
-        out = batch
-        if n:
-            content = K._as_array(pc.fill_null(batch[text_col], ""))
-            has = np.asarray(
-                K._as_array(
-                    pc.match_substring_regex(content, IBAN_CANDIDATE_PATTERN)
-                ).fill_null(False)
-            )
-            idx = np.nonzero(has)[0]
-            if len(idx):
-                vals = content.to_pylist()
-                changed = False
-                for i in idx:
-                    after, cnt = _sub_count(vals[i])
-                    if cnt:
-                        vals[i] = after
-                        n_scr[i] = cnt
-                        changed = True
-                if changed:
-                    ci = batch.column_names.index(text_col)
-                    out = batch.set_column(ci, text_col, pa.array(vals, pa.string()))
-        return out.append_column("n_iban_scrubs", pa.array(n_scr))
-
-    return ds.map_batches(_scrub, batch_format="pyarrow")
-
-
-#: Valid-dotted-quad IPv4 (octets 0-255 enforced in the pattern itself)
-#: split into (first three octets)(last octet) so anonymization can keep
-#: the network prefix.  The SAME pattern string runs in Python `re` and
-#: DuckDB RE2 (no lookaround), so the SQL twin is literal.
-IP_PREFIX_SUBPATTERN = (
-    r"((?:(?:25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9]?[0-9])\.){3})"
-)
-IP_LAST_SUBPATTERN = r"(?:25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9]?[0-9])"
-IP_PATTERN = r"\b" + IP_PREFIX_SUBPATTERN + IP_LAST_SUBPATTERN + r"\b"
-_IP_RX = re.compile(IP_PATTERN)
-
-
-def scrub_ips(
-    ds: "object",
-    text_col: str = "content",
-    id_col: str = "doc_id",
-    replace_last: str = "xxx",
-) -> "object":
-    """GDPR-style IPv4 truncation: every valid dotted-quad (octet range
-    0-255 is part of the regex — `999.1.2.3` is untouched) is rewritten
-    to `a.b.c.xxx`, keeping the network prefix and dropping the host
-    octet.  Extends the reference's ValueRegexPatterns flag-only check
-    (/root/reference/src/check/post.rs:354-391) into an in-place rewrite,
-    like :func:`scrub_cards` / :func:`scrub_ibans`.
-
-    Stateless ``map_batches``: one vectorized Arrow regex prefilter per
-    batch, Python ``re.sub`` only on candidate rows; rows without a match
-    pass through byte-identical (sha256 invariant).  Emits ``n_ips``.
-    DuckDB twin: ``regexp_replace(t, <same pattern>, '\\1xxx', 'g')`` plus
-    ``len(regexp_extract_all(...))`` — value-exact because both engines
-    match leftmost non-overlapping with identical octet alternations.
-    """
-    repl = r"\1" + replace_last
-
-    def _scrub(batch: pa.Table) -> pa.Table:
-        n = len(batch)
-        n_ips = np.zeros(n, dtype=np.int64)
-        content = K._as_array(pc.fill_null(batch[text_col], ""))
-        out_col = content
-        if n:
-            has = np.asarray(
-                K._as_array(
-                    pc.match_substring_regex(content, IP_PATTERN)
-                ).fill_null(False)
-            )
-            idx = np.nonzero(has)[0]
-            if len(idx):
-                vals = content.to_pylist()
-                for i in idx:
-                    after, cnt = _IP_RX.subn(repl, vals[i])
-                    if cnt:
-                        vals[i] = after
-                        n_ips[i] = cnt
-                out_col = pa.array(vals, pa.string())
-        return pa.table(
-            {
-                id_col: batch[id_col],
-                "n_ips": pa.array(n_ips),
-                text_col: out_col,
-            }
-        )
-
-    return ds.map_batches(_scrub, batch_format="pyarrow")

@@ -251,404 +251,5 @@ def read_table(
     )
 
 
-def dataset_schema(paths: str | Sequence[str]) -> pa.Schema:
-    """Schema of the first file (all files must agree)."""
-    files = _expand(paths)
-    if not files:
-        raise FileNotFoundError(f"no parquet files under {paths!r}")
-    return pq.ParquetFile(files[0]).schema_arrow
-
-
 def total_rows(paths: str | Sequence[str]) -> int:
     return sum(t["num_rows"] for t in row_group_tasks(paths))
-
-
-def write_partitioned(
-    ds: "ray.data.Dataset",
-    path: str,
-    partition_cols: Sequence[str],
-) -> dict[str, int]:
-    """Hive-partitioned parquet sink with atomic publish: the dataset
-    writes to a staging directory (one subdirectory per partition value,
-    the resumable-output layout — a failed run never leaves a
-    half-written final directory), a ``_manifest.json`` of per-partition
-    row counts (from parquet footers, not trust) is staged alongside,
-    then ONE ``os.replace`` publishes everything — the same
-    whole-directory publish the IVF index uses.  Returns the manifest
-    ``{partition_rel_path: n_rows}``."""
-    import json
-    import shutil
-
-    stage = f"{path}.staging-{os.getpid()}"
-    shutil.rmtree(stage, ignore_errors=True)
-    ds.write_parquet(stage, partition_cols=list(partition_cols))
-    manifest: dict[str, int] = {}
-    for root, _dirs, files in os.walk(stage):
-        for f in files:
-            if f.endswith(".parquet"):
-                rel = os.path.relpath(root, stage)
-                n = pq.read_metadata(os.path.join(root, f)).num_rows
-                manifest[rel] = manifest.get(rel, 0) + n
-    with open(os.path.join(stage, "_manifest.json"), "w") as fh:
-        json.dump(manifest, fh, sort_keys=True)
-    shutil.rmtree(path, ignore_errors=True)
-    os.replace(stage, path)
-    return manifest
-
-
-def parquet_audit(paths: str | Sequence[str]) -> "ray.data.Dataset":
-    """Footer-only input audit: ``(file_name, row_group_id, n_rows,
-    compressed_bytes, uncompressed_bytes)`` per row group — the
-    pre-flight a 100 TB run does before scheduling (row-group count
-    bounds read parallelism; giant or skewed groups predict stragglers).
-    One task per file, reads ONLY parquet footers, never data pages;
-    matches DuckDB's ``parquet_metadata()`` aggregated per row group
-    (asserted in test_kernels)."""
-    files = [f for f in _expand(paths) if f.endswith((".parquet", ".pq"))]
-    if not files:
-        raise FileNotFoundError(f"no parquet files under {paths!r}")
-
-    def _audit(batch: pa.Table) -> pa.Table:
-        rows = []
-        for path in batch["path"].to_pylist():
-            meta = pq.ParquetFile(path).metadata
-            base = os.path.basename(path)
-            for rg in range(meta.num_row_groups):
-                g = meta.row_group(rg)
-                comp = sum(
-                    g.column(c).total_compressed_size
-                    for c in range(g.num_columns)
-                )
-                unc = sum(
-                    g.column(c).total_uncompressed_size
-                    for c in range(g.num_columns)
-                )
-                rows.append((base, rg, g.num_rows, comp, unc))
-        return pa.table(
-            {
-                "file_name": pa.array([r[0] for r in rows], pa.string()),
-                "row_group_id": pa.array([r[1] for r in rows], pa.int64()),
-                "n_rows": pa.array([r[2] for r in rows], pa.int64()),
-                "compressed_bytes": pa.array([r[3] for r in rows], pa.int64()),
-                "uncompressed_bytes": pa.array([r[4] for r in rows], pa.int64()),
-            }
-        )
-
-    return ray.data.from_items(
-        [{"path": f} for f in files], override_num_blocks=len(files)
-    ).map_batches(_audit, batch_size=1, batch_format="pyarrow")
-
-
-def compact_parquet(
-    paths: str | Sequence[str],
-    out_dir: str,
-    *,
-    target_rows_per_file: int = 1_000_000,
-    columns: Optional[list[str]] = None,
-) -> dict[str, int]:
-    """Small-files compaction (the lakehouse maintenance job): read the
-    fragmented input, rewrite it as files of ``target_rows_per_file``
-    (row-group-aligned so downstream read parallelism is healthy), and
-    publish atomically like :func:`write_partitioned`.  Returns
-    ``{"files_in": …, "files_out": …, "rows": …}``.
-
-    Streaming end-to-end: the read never materializes, the writer packs
-    blocks up to the target; footers of the OUTPUT are counted for the
-    manifest (never trusted row counts)."""
-    import json
-    import shutil
-
-    files = [f for f in _expand(paths) if f.endswith((".parquet", ".pq"))]
-    if not files:
-        raise FileNotFoundError(f"no parquet files under {paths!r}")
-    ds = ray.data.read_parquet(files, columns=columns)
-    stage = f"{out_dir}.staging-{os.getpid()}"
-    shutil.rmtree(stage, ignore_errors=True)
-    ds.write_parquet(
-        stage,
-        min_rows_per_file=target_rows_per_file,
-        max_rows_per_file=target_rows_per_file,
-        arrow_parquet_args_fn=lambda: {"row_group_size": target_rows_per_file},
-    )
-    rows = 0
-    out_files = [f for f in sorted(os.listdir(stage)) if f.endswith(".parquet")]
-    for f in out_files:
-        rows += pq.read_metadata(os.path.join(stage, f)).num_rows
-    manifest = {"files_in": len(files), "files_out": len(out_files), "rows": rows}
-    with open(os.path.join(stage, "_manifest.json"), "w") as fh:
-        json.dump(manifest, fh, sort_keys=True)
-    shutil.rmtree(out_dir, ignore_errors=True)
-    os.replace(stage, out_dir)
-    return manifest
-
-
-def _attr_bucket(batch: pa.Table, key_cols: Sequence[str], num_buckets: int) -> np.ndarray:
-    """Stable bucket id per row from the md5 of the composite key: key
-    columns cast to string and joined with a \\x1f separator (a value
-    that never appears in repo/path/commit identifiers), hashed via the
-    buffer-sliced kernels.digest64 — no per-row Python."""
-    import pyarrow.compute as pc
-
-    from . import kernels as K
-
-    parts: list = []
-    for c in key_cols:
-        parts.append(pc.fill_null(pc.cast(batch[c], pa.string()), ""))
-        parts.append(pa.array(["\x1f"] * len(batch), pa.string()))
-    composite = pc.binary_join_element_wise(*parts, "")
-    return np.abs(K.digest64(composite)) % num_buckets
-
-
-def write_attributes(
-    ds: "ray.data.Dataset",
-    attr_dir: str,
-    key_cols: Sequence[str],
-    attr_cols: Sequence[str],
-    *,
-    num_buckets: int = 32,
-) -> dict:
-    """Dolma-style attribute SIDECAR sink (Soldaini et al. 2024,
-    arXiv:2402.00159 §2: documents stored once, per-doc rule/score
-    "attributes" written alongside so downstream mixes re-filter without
-    recomputing).  Writes ONLY ``key_cols + attr_cols`` (never content),
-    hash-bucket-partitioned on the composite key (``bucket=<k>/`` dirs,
-    sorted before the partitioned write so each bucket holds a handful
-    of files), with the atomic staging + ``_attr_meta.json`` publish of
-    :func:`write_partitioned` — a killed run never leaves a half sidecar.
-    Returns the manifest.  Re-attach with :func:`attach_attributes`."""
-    import json
-    import shutil
-
-    key_cols = list(key_cols)
-    attr_cols = list(attr_cols)
-    overlap = set(key_cols) & set(attr_cols)
-    if overlap:
-        raise ValueError(f"write_attributes: columns in both keys and attrs: {sorted(overlap)}")
-
-    def _proj(batch: pa.Table) -> pa.Table:
-        cols = {c: batch[c] for c in key_cols + attr_cols}
-        cols["bucket"] = pa.array(_attr_bucket(batch, key_cols, num_buckets))
-        return pa.table(cols)
-
-    manifest = write_partitioned(
-        ds.map_batches(_proj, batch_format="pyarrow").sort("bucket"),
-        attr_dir,
-        ["bucket"],
-    )
-    meta = {
-        "key_cols": key_cols,
-        "attr_cols": attr_cols,
-        "num_buckets": num_buckets,
-    }
-    tmp = os.path.join(attr_dir, "_attr_meta.json.tmp")
-    with open(tmp, "w") as fh:
-        json.dump(meta, fh)
-    os.replace(tmp, os.path.join(attr_dir, "_attr_meta.json"))
-    return manifest
-
-
-def attach_attributes(
-    docs: "ray.data.Dataset",
-    attr_dir: str,
-    *,
-    how: str = "inner",
-    num_partitions: Optional[int] = None,
-) -> "ray.data.Dataset":
-    """Re-attach a :func:`write_attributes` sidecar to a documents
-    Dataset by the sidecar's pinned key columns — the Dolma "mixer"
-    step: filter/weight a corpus by previously computed attributes
-    without recomputing them.  A distributed hash join on the composite
-    key (both sides stream; content moves exactly once), ``inner`` or
-    ``left_outer``."""
-    import json
-
-    from .ops.joins import _shuffle_partitions, hash_join
-
-    meta_path = os.path.join(attr_dir, "_attr_meta.json")
-    if not os.path.isfile(meta_path):
-        raise FileNotFoundError(
-            f"attribute sidecar {attr_dir!r} is missing _attr_meta.json — "
-            "write it with write_attributes"
-        )
-    with open(meta_path) as fh:
-        meta = json.load(fh)
-    key_cols = meta["key_cols"]
-    files = sorted(
-        glob.glob(os.path.join(attr_dir, "bucket=*", "*.parquet"))
-    )
-    if not files:
-        raise FileNotFoundError(f"attribute sidecar {attr_dir!r} has no data files")
-    attrs = ray.data.read_parquet(
-        files, columns=key_cols + meta["attr_cols"]
-    )
-    if how not in ("inner", "left_outer"):
-        raise ValueError(f"attach_attributes: how must be inner|left_outer (got {how!r})")
-    return hash_join(
-        docs, attrs, on=tuple(key_cols), how=how,
-        num_partitions=_shuffle_partitions(num_partitions),
-    )
-
-
-def write_bucketed(
-    ds: "ray.data.Dataset",
-    path: str,
-    key_col: str,
-    n_buckets: int,
-) -> dict[str, int]:
-    """Bucketed storage: rows land in ``bucket = md5(key)[:8] % n``
-    hive partitions with the layout pinned in ``_bucket_meta.json`` —
-    the Hive/Iceberg bucketing pattern that lets every LATER stage
-    (joins, incremental merges, dedup probes) co-locate on the same key
-    WITHOUT re-shuffling: two tables bucketed the same way join
-    bucket-by-bucket, each pair in one task (:func:`qamd_ray.ops.joins.
-    bucketed_join`).  The md5 keying matches ``shuffle_shards`` /
-    the incremental-index bucketing (deterministic across engines and
-    runs).  Atomic whole-directory publish; returns the per-bucket row
-    manifest."""
-    import json
-    import shutil
-
-    from . import kernels as K
-
-    if n_buckets <= 0:
-        raise ValueError("write_bucketed: n_buckets must be positive")
-
-    def _with_bucket(batch: pa.Table) -> pa.Table:
-        keys = pc.cast(batch[key_col], pa.string())
-        h = K.digest64(K._as_array(keys)) % n_buckets
-        return batch.append_column("bucket", pa.array(h.astype(np.int64)))
-
-    stage = f"{path}.bstage-{os.getpid()}"
-    shutil.rmtree(stage, ignore_errors=True)
-    manifest = write_partitioned(
-        ds.map_batches(_with_bucket, batch_format="pyarrow"),
-        stage,
-        ["bucket"],
-    )
-    with open(os.path.join(stage, "_bucket_meta.json"), "w") as fh:
-        json.dump(
-            {"key_col": key_col, "n_buckets": n_buckets, "hash": "md5_64"},
-            fh,
-            sort_keys=True,
-        )
-    shutil.rmtree(path, ignore_errors=True)
-    os.replace(stage, path)
-    return manifest
-
-
-def read_bucket_meta(path: str) -> dict:
-    """The pinned bucketing parameters of a :func:`write_bucketed` dir
-    (loud error when the directory isn't bucketed storage)."""
-    import json
-
-    meta_path = os.path.join(path, "_bucket_meta.json")
-    if not os.path.exists(meta_path):
-        raise FileNotFoundError(
-            f"{path} has no _bucket_meta.json — not bucketed storage "
-            "(write with sources.write_bucketed)"
-        )
-    with open(meta_path) as fh:
-        return json.load(fh)
-
-
-def write_sorted(
-    ds: "ray.data.Dataset",
-    path: str,
-    sort_col: str,
-) -> list[dict]:
-    """Range-partitioned sorted storage with zone maps: one global sort
-    on ``sort_col``, one parquet file per output block, and a
-    ``_zones.json`` manifest of per-file [min, max] ranges read from the
-    parquet FOOTERS (stats, not trust) — the Delta/Iceberg data-skipping
-    layout.  :func:`read_pruned` then serves range predicates touching
-    only overlapping files.  Atomic whole-directory publish; returns the
-    zone list."""
-    import json
-    import shutil
-
-    stage = f"{path}.zstage-{os.getpid()}"
-    shutil.rmtree(stage, ignore_errors=True)
-    ds.sort(sort_col).write_parquet(stage)
-    zones: list[dict] = []
-    for f in sorted(os.listdir(stage)):
-        if not f.endswith(".parquet"):
-            continue
-        meta = pq.ParquetFile(os.path.join(stage, f)).metadata
-        idx = {
-            meta.schema.column(i).name: i for i in range(meta.num_columns)
-        }[sort_col]
-        lo = hi = None
-        for rg in range(meta.num_row_groups):
-            st = meta.row_group(rg).column(idx).statistics
-            if st is None or not st.has_min_max:
-                raise ValueError(
-                    f"write_sorted: {f} row group {rg} lacks min/max stats "
-                    f"for {sort_col!r}"
-                )
-            lo = st.min if lo is None else min(lo, st.min)
-            hi = st.max if hi is None else max(hi, st.max)
-        if lo is not None:
-            zones.append(
-                {"file": f, "min": lo, "max": hi, "rows": meta.num_rows}
-            )
-    with open(os.path.join(stage, "_zones.json"), "w") as fh:
-        json.dump({"sort_col": sort_col, "zones": zones}, fh, sort_keys=True)
-    shutil.rmtree(path, ignore_errors=True)
-    os.replace(stage, path)
-    return zones
-
-
-def read_pruned(
-    path: str,
-    lo,
-    hi,
-    *,
-    columns: Optional[Sequence[str]] = None,
-) -> tuple["ray.data.Dataset", dict]:
-    """Zone-map-pruned range read over a :func:`write_sorted` directory:
-    only files whose [min, max] overlaps ``[lo, hi]`` are opened, then
-    the exact predicate filters inside each batch.  Returns ``(dataset,
-    stats)`` where stats reports files read vs skipped — the
-    data-skipping evidence a 100 TB scan depends on (a point/range query
-    touches O(matching ranges), not the corpus)."""
-    import json
-
-    zpath = os.path.join(path, "_zones.json")
-    if not os.path.exists(zpath):
-        raise FileNotFoundError(
-            f"{path} has no _zones.json — not sorted-zone storage "
-            "(write with sources.write_sorted)"
-        )
-    with open(zpath) as fh:
-        meta = json.load(fh)
-    sort_col = meta["sort_col"]
-    keep = [
-        z for z in meta["zones"] if not (z["max"] < lo or z["min"] > hi)
-    ]
-    stats = {
-        "files_total": len(meta["zones"]),
-        "files_read": len(keep),
-        "files_skipped": len(meta["zones"]) - len(keep),
-        "sort_col": sort_col,
-    }
-    if not keep:
-        # typed empty dataset from any one file's schema, filtered to 0
-        files = [os.path.join(path, meta["zones"][0]["file"])] if meta["zones"] else []
-        if not files:
-            raise ValueError(f"read_pruned: {path} holds no zones")
-        ds = ray.data.read_parquet(files, columns=list(columns) if columns else None)
-        return ds.filter(lambda row: False), stats
-
-    files = [os.path.join(path, z["file"]) for z in keep]
-    ds = ray.data.read_parquet(
-        files, columns=list(columns) if columns else None
-    )
-
-    def _exact(batch: pa.Table) -> pa.Table:
-        col = batch[sort_col]
-        mask = pc.and_(
-            pc.greater_equal(col, lo), pc.less_equal(col, hi)
-        )
-        return batch.filter(mask)
-
-    return ds.map_batches(_exact, batch_format="pyarrow"), stats

@@ -394,45 +394,3 @@ def write_corpus(
                     row_group_size=row_group_size,
                 )
     return t
-
-
-def _gen_shard(args: tuple) -> str:
-    out_path, i, rows, n_repos, seed, row_group_size, lines = args
-    import pyarrow.parquet as pq
-
-    t = gen_corpus(n_rows=rows, n_repos=n_repos, seed=seed * 1_000 + i, lines=lines)
-    path = f"{out_path}/part-{i:04d}.parquet"
-    pq.write_table(strip_labels(t), path, row_group_size=row_group_size)
-    return path
-
-
-def write_corpus_parallel(
-    out_path: str,
-    n_rows: int,
-    n_repos: int = 40,
-    seed: int = 42,
-    row_group_size: int = 2048,
-    n_files: int = 16,
-    lines: Optional[tuple[int, int]] = None,
-    processes: Optional[int] = None,
-) -> None:
-    """Multi-process corpus writer for bench-scale inputs.
-
-    Each shard generates with its own derived seed (deterministic); repos
-    are drawn from the same ``org/repoN`` namespace so cross-shard repo
-    grouping and skew still hold.  Duplicate planting is intra-shard only.
-    """
-    import multiprocessing as mp
-    import os
-
-    os.makedirs(out_path, exist_ok=True)
-    # distribute the remainder so the total is exactly n_rows (a ceil per
-    # shard over-generates whenever n_files doesn't divide n_rows)
-    n_files = min(n_files, max(1, n_rows))
-    base, rem = divmod(n_rows, n_files)
-    jobs = [
-        (out_path, i, base + (1 if i < rem else 0), n_repos, seed, row_group_size, lines)
-        for i in range(n_files)
-    ]
-    with mp.get_context("spawn").Pool(processes or min(n_files, os.cpu_count() or 4)) as pool:
-        pool.map(_gen_shard, jobs)

@@ -59,11 +59,6 @@ def test_render_values():
     assert K.render_values(pa.array([1]))[0].as_py() != K.render_values(pa.array([1.0]))[0].as_py()
 
 
-def test_byte_length():
-    # Rust String::len is byte length: "ç" is 2 bytes in UTF-8
-    assert K.byte_length(pa.array(["abc", "ç"])).to_pylist() == [3, 2]
-
-
 def test_char_class_ratio():
     arr = pa.array(["aa11", "aaaa", ""])
     assert np.allclose(K.char_class_ratio(arr, "[0-9]"), [0.5, 0.0, 0.0])
@@ -202,53 +197,6 @@ def test_read_table_orc_multi_stripe(tmp_path, ray_session):
     assert sorted(pruned["a"].tolist()) == list(range(n))
 
 
-def test_parquet_audit_matches_duckdb_metadata(ray_session):
-    """Footer audit equals DuckDB's parquet_metadata() aggregated per
-    row group (and reads no data pages — it is metadata-only)."""
-    import duckdb
-
-    from qamd_ray.sources import parquet_audit
-
-    path = "/root/testdata/sf0.001/lineitem.parquet"
-    got = (
-        parquet_audit(path)
-        .to_pandas()
-        .sort_values("row_group_id")
-        .reset_index(drop=True)
-    )
-    want = duckdb.sql(
-        f"""SELECT row_group_id, any_value(row_group_num_rows) AS n_rows,
-              CAST(sum(total_compressed_size) AS BIGINT) AS comp,
-              CAST(sum(total_uncompressed_size) AS BIGINT) AS unc
-           FROM parquet_metadata('{path}') GROUP BY 1 ORDER BY 1"""
-    ).df()
-    assert got["row_group_id"].tolist() == want["row_group_id"].tolist()
-    assert got["n_rows"].tolist() == want["n_rows"].tolist()
-    assert got["compressed_bytes"].tolist() == want["comp"].tolist()
-    assert got["uncompressed_bytes"].tolist() == want["unc"].tolist()
-    assert (got["file_name"] == "lineitem.parquet").all()
-
-
-def test_compact_parquet_small_files(tmp_path, ray_session):
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    from qamd_ray.sources import compact_parquet
-
-    src = tmp_path / "frag"
-    src.mkdir()
-    for i in range(12):  # 12 tiny fragments of 50 rows
-        t = pa.table({"k": list(range(i * 50, i * 50 + 50))})
-        pq.write_table(t, src / f"part{i:03d}.parquet")
-    out = tmp_path / "compacted"
-    man = compact_parquet(str(src), str(out), target_rows_per_file=300)
-    assert man == {"files_in": 12, "files_out": 2, "rows": 600}
-    import ray.data
-
-    back = ray.data.read_parquet(str(out)).to_pandas()
-    assert sorted(back["k"]) == list(range(600))
-
-
 def test_digest_rows_matches_naive():
     """Buffer-level hashing must equal the to_pylist()+encode path on every
     layout: plain, nulls, chunked, sliced, large_string, binary."""
@@ -278,52 +226,3 @@ def test_digest_rows_matches_naive():
     assert K.digest_rows(barr, "md5") == [naive(v, "md5") for v in vals]
     # empty array
     assert K.digest_rows(pa.array([], pa.string())) == []
-
-
-def test_digest64_matches_digest_rows():
-    """digest64 == int64 view of the first 8 md5 bytes, across chunks,
-    nulls (hash of ''), empty strings and multi-byte text."""
-    import hashlib
-
-    import numpy as np
-    import pyarrow as pa
-
-    from qamd_ray import kernels as K
-
-    vals = ["ab", "", None, "x" * 300, "héllo ✓", "ab"]
-    arr = pa.chunked_array(
-        [pa.array(vals[:3]), pa.array([], pa.string()), pa.array(vals[3:])]
-    )
-    got = K.digest64(arr)
-    exp = np.array(
-        [
-            np.frombuffer(
-                hashlib.md5((v or "").encode("utf-8")).digest()[:8], np.int64
-            )[0]
-            for v in vals
-        ]
-    )
-    assert (got == exp).all()
-    assert K.digest64(pa.array([], pa.string())).size == 0
-
-
-def test_json_int_field_extraction():
-    """json_int_field: flat ints extracted, absent/quoted/other fields
-    null, unsafe field names raise, DuckDB twin pattern agrees."""
-    import duckdb
-    import pyarrow as pa
-    import pytest
-
-    from qamd_ray.kernels import json_field_pattern, json_int_field
-
-    rows = ['{"k": 69}', '{"k":-3}', "{}", None, '{"kk": 5}', '{"k": "x"}']
-    got = json_int_field(pa.array(rows), "k").to_pylist()
-    assert got == [69, -3, None, None, None, None]
-    with pytest.raises(ValueError, match="unsafe field"):
-        json_field_pattern('k" OR 1')
-    for s, want in zip(rows, got):
-        db = duckdb.sql(
-            "select CAST(NULLIF(regexp_extract(?, ?, 1), '') AS BIGINT)",
-            params=[s or "", json_field_pattern("k")],
-        ).fetchone()[0]
-        assert db == want, s

@@ -6,7 +6,6 @@ before it shows up as an F1 miss."""
 
 import string
 
-import numpy as np
 import pyarrow as pa
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -149,213 +148,3 @@ def test_dictionary_kernels_match_scalar(texts):
         want_st = norm == "" or not K.only_contains(norm, words)
         assert sp == want_sp, repr(t)
         assert stw == want_st, repr(t)
-
-
-# ---------------------------------------------------------------------------
-# Gopher / C4 rule kernels vs scalar twins (arbitrary unicode input)
-# ---------------------------------------------------------------------------
-
-import re as _re
-
-from qamd_ray.ops.textstats import (
-    GOPHER_STOPWORDS,
-    c4_batch_fn,
-    gopher_batch_fn,
-)
-
-_WORD = _re.compile(r"[^ \t\n\f\r]+")
-_ALPHA_WORD = _re.compile(r"[^ \t\n\f\r]*[A-Za-z][^ \t\n\f\r]*")
-# re.ASCII: RE2's \b is the ASCII word boundary; Python's default is unicode
-_STOP_RES = [
-    _re.compile(rf"\b{w}\b", _re.ASCII) for w in GOPHER_STOPWORDS
-]
-
-
-def _gopher_scalar(text: str) -> dict:
-    t = text or ""
-    words = _WORD.findall(t)
-    n_words = len(words)
-    word_chars = sum(len(w) for w in words)
-    n_sym = t.count("#") + t.count("...") + t.count("…")
-    n_alpha = len(_ALPHA_WORD.findall(t))
-    lines = t.split("\n")
-    n_bullet = sum(l.startswith(("-", "*", "•")) for l in lines)
-    n_ell = sum(l.endswith(("...", "…")) for l in lines)
-    low = t.lower()
-    n_stop = sum(bool(rx.search(low)) for rx in _STOP_RES)
-    f = {
-        "f_word_count": 50 <= n_words <= 100_000,
-        "f_mean_word_len": 3 * n_words <= word_chars <= 10 * n_words,
-        "f_symbol_ratio": 100 * n_sym <= 10 * n_words,
-        "f_bullet_lines": 100 * n_bullet <= 90 * len(lines),
-        "f_ellipsis_lines": 100 * n_ell <= 30 * len(lines),
-        "f_alpha_words": 100 * n_alpha >= 80 * n_words,
-        "f_stopwords": n_stop >= 2,
-    }
-    f["n_words"] = n_words
-    f["n_lines"] = len(lines)
-    f["n_stopwords"] = n_stop
-    f["keep"] = all(v for k, v in f.items() if k.startswith("f_"))
-    return f
-
-
-def _c4_scalar(text: str) -> dict:
-    t = text or ""
-    lines = t.split("\n")
-    kept = [
-        l
-        for l in lines
-        if l.endswith((".", "!", "?", '"'))
-        and len(_WORD.findall(l)) >= 3
-        and "javascript" not in l.lower()
-    ]
-    clean = "\n".join(kept)
-    n_sent = clean.count(".") + clean.count("!") + clean.count("?")
-    return {
-        "clean_text": clean,
-        "n_lines": len(lines),
-        "n_kept_lines": len(kept),
-        "n_sentences": n_sent,
-        "f_sentences": n_sent >= 5,
-        "f_no_badsub": "lorem ipsum" not in t.lower(),
-        "f_no_literal": "{" not in t,
-        "keep": n_sent >= 5
-        and "lorem ipsum" not in t.lower()
-        and "{" not in t,
-    }
-
-
-# words/lines/punct-heavy fragments so the rules actually trip both ways
-RULE_TEXT = st.lists(
-    st.sampled_from(
-        list("abTHE the of and #.!?\"-*•…\n\t ")
-        + ["...", " the ", "lorem ipsum", "{", "javascript."]
-    ),
-    max_size=60,
-).map("".join)
-
-
-@given(st.lists(RULE_TEXT, min_size=1, max_size=8))
-@settings(max_examples=80, deadline=None)
-def test_gopher_batch_fn_matches_scalar(texts):
-    batch = pa.table(
-        {
-            "doc_id": pa.array(range(len(texts)), pa.int64()),
-            "text": pa.array(texts, pa.string()),
-        }
-    )
-    out = gopher_batch_fn()(batch).to_pylist()
-    for row, t in zip(out, texts):
-        exp = _gopher_scalar(t)
-        for k, v in exp.items():
-            assert row[k] == v, (k, t)
-
-
-@given(st.lists(RULE_TEXT, min_size=1, max_size=8))
-@settings(max_examples=80, deadline=None)
-def test_c4_batch_fn_matches_scalar(texts):
-    batch = pa.table(
-        {
-            "doc_id": pa.array(range(len(texts)), pa.int64()),
-            "text": pa.array(texts, pa.string()),
-        }
-    )
-    out = c4_batch_fn()(batch).to_pylist()
-    for row, t in zip(out, texts):
-        exp = _c4_scalar(t)
-        for k, v in exp.items():
-            assert row[k] == v, (k, t)
-
-
-@given(
-    st.lists(st.integers(0, 300), min_size=0, max_size=60),
-    st.integers(1, 20),
-)
-@settings(max_examples=120, deadline=None)
-def test_merged_spans_equals_interval_union(positions, window):
-    """dup-substring span merging == brute-force union of the
-    [p, p+window) intervals (touching intervals merge)."""
-    from qamd_ray.ops.dedup import _merged_spans
-
-    pos = np.unique(np.array(positions, dtype=np.int64))
-    starts, lens = _merged_spans(pos, window)
-
-    covered = set()
-    for p in pos:
-        covered.update(range(p, p + window))
-    got = set()
-    for s, ln in zip(starts.tolist(), lens.tolist()):
-        got.update(range(s, s + ln))
-    assert got == covered
-    # spans are disjoint, non-touching, and sorted
-    ends = [s + ln for s, ln in zip(starts.tolist(), lens.tolist())]
-    for i in range(1, len(starts)):
-        assert starts[i] > ends[i - 1]
-
-
-@given(
-    st.lists(st.integers(-50, 50), min_size=0, max_size=40),
-    st.lists(st.integers(-50, 50), min_size=0, max_size=40),
-)
-@settings(max_examples=120, deadline=None)
-def test_member_mask_equals_isin(flat_vals, key_vals):
-    from qamd_ray.ops.dedup import _member_mask
-
-    flat = np.array(flat_vals, dtype=np.int64)
-    keys = np.unique(np.array(key_vals, dtype=np.int64))
-    got = _member_mask(flat, keys)
-    want = np.isin(flat, keys)
-    assert np.array_equal(got, want)
-
-
-NUMDOT = st.text(alphabet="0123456789. ax-:", max_size=60)
-
-
-@given(st.lists(NUMDOT, max_size=8))
-@settings(max_examples=150, deadline=None)
-def test_ip_pattern_python_duckdb_agree(texts):
-    """scrub_ips' octet-validating pattern matches identically in Python
-    re and DuckDB RE2 on adversarial digit/dot soup — counts AND
-    rewritten strings (the cross-engine invariant behind the ip_scrub
-    twin)."""
-    import duckdb
-
-    from qamd_ray.scrub import IP_PATTERN, _IP_RX
-
-    con = duckdb.connect()
-    for t in texts:
-        py_text, py_n = _IP_RX.subn(r"\1xxx", t)
-        db_text, db_n = con.execute(
-            "select regexp_replace(?, ?, '\\1xxx', 'g'),"
-            " len(regexp_extract_all(?, ?))",
-            [t, IP_PATTERN, t, IP_PATTERN],
-        ).fetchone()
-        assert py_text == db_text, t
-        assert py_n == db_n, t
-
-
-@given(st.lists(st.text(alphabet="{}ab \n", max_size=80), max_size=6))
-@settings(max_examples=100, deadline=None)
-def test_brace_scan_scalar_property(texts):
-    """The brace-nesting scalar model (inclusive cumsum max / min / end)
-    is consistent: max ≥ 0, balanced ⇒ equal open/close counts, and
-    concatenating a balanced prefix never changes a suffix's verdict."""
-    def scan(s):
-        d = mx = mn = 0
-        for ch in s:
-            if ch == "{":
-                d += 1
-            elif ch == "}":
-                d -= 1
-            mx = max(mx, d)
-            mn = min(mn, d)
-        return mx, mn, d
-
-    for s in texts:
-        mx, mn, d = scan(s)
-        assert mx >= 0 and mn <= 0
-        if mn >= 0 and d == 0:
-            assert s.count("{") == s.count("}")
-        # balanced prefix invariance
-        mx2, mn2, d2 = scan("{}" + s)
-        assert (mn2 >= 0 and d2 == 0) == (mn >= 0 and d == 0)

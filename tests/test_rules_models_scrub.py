@@ -148,320 +148,3 @@ def test_absent_config_keys_skip_rules():
     assert LangIdScorer.from_config(cfg) is None
     assert PerplexityScorer.from_config(cfg) is None
     assert Scrubber.from_config(cfg) is None
-
-
-def test_distributed_fits_match_inprocess_exactly():
-    """fit_langid_distributed / fit_perplexity_distributed produce
-    byte-identical weights to the in-process constructors on the same
-    texts (integer count sums commute)."""
-    import pandas as pd
-    import ray.data
-
-    from qamd_ray.models import (
-        LangIdModel,
-        PerplexityModel,
-        fit_langid_distributed,
-        fit_perplexity_distributed,
-    )
-    from qamd_ray.synth import LANGS, clean_samples
-
-    corpus = {l: clean_samples(l, 12, seed=3) for l in LANGS[:3]}
-    rows = [
-        {"text": t, "lang": l} for l, ts in corpus.items() for t in ts
-    ] + [{"text": None, "lang": LANGS[0]}, {"text": "xx", "lang": None}]
-    ds = ray.data.from_pandas(pd.DataFrame(rows)).repartition(5)
-
-    want_l = LangIdModel(corpus)
-    got_l = fit_langid_distributed(ds)
-    assert got_l.classes == want_l.classes
-    assert np.array_equal(got_l.logp, want_l.logp)
-
-    texts = [t for ts in corpus.values() for t in ts] + ["xx"]
-    want_p = PerplexityModel(texts, dim3=1 << 16, dim2=1 << 12)
-    got_p = fit_perplexity_distributed(ds, dim3=1 << 16, dim2=1 << 12)
-    for a in ("t3", "c2", "b2", "c1", "u1"):
-        assert np.array_equal(getattr(got_p, a), getattr(want_p, a)), a
-    assert got_p.total == want_p.total
-    # and they score identically
-    probe = ["the quick brown fox", "der schnelle braune fuchs"]
-    assert np.array_equal(
-        got_p.bits_per_char(probe), want_p.bits_per_char(probe)
-    )
-
-
-def test_luhn_card_scan_and_scrub():
-    """luhn_card_scan counts candidates vs Luhn-valid cards (brute-force
-    scalar recount); scrub_cards rewrites ONLY valid numbers — invalid
-    13-19-digit runs (order ids, hashes) and card-free rows pass through
-    byte-identical (the sha256 invariant)."""
-    import hashlib
-
-    import pandas as pd
-
-    import ray
-
-    from qamd_ray.scrub import luhn_card_scan, luhn_valid, scrub_cards
-
-    def scalar_luhn(s):
-        tot = 0
-        for i, ch in enumerate(reversed(s)):
-            d = int(ch)
-            if i % 2 == 1:
-                d *= 2
-                if d > 9:
-                    d -= 9
-            tot += d
-        return tot % 10 == 0
-
-    rows = [
-        "pay with 4532015112830366 today",            # valid 16
-        "or 4532-0151-1283-0367 maybe",               # invalid 16 (checksum)
-        "two: 4111 1111 1111 1111 and 378282246310005",  # valid 16 + valid 15
-        "order 1234567890123 shipped",                # invalid 13
-        "no digits here at all",
-        None,
-        "long run 45320151128303668 ok",              # 17 digits
-        "short 123456789012 run",                     # 12 digits: no candidate
-    ]
-    df = pd.DataFrame({"doc_id": np.arange(len(rows)), "content": rows})
-    got = (
-        luhn_card_scan(ray.data.from_pandas(df).repartition(3), "content")
-        .to_pandas()
-        .sort_values("doc_id")
-        .reset_index(drop=True)
-    )
-    import re as _re
-
-    from qamd_ray.scrub import _CARD_RX, _strip_seps
-
-    for i, s in enumerate(rows):
-        cands = _CARD_RX.findall(s or "")
-        assert got.loc[i, "n_candidates"] == len(cands), s
-        assert got.loc[i, "n_cards"] == sum(
-            scalar_luhn(_strip_seps(c)) for c in cands
-        ), s
-    # the vectorized matrix agrees with the scalar reference on every
-    # candidate, including padded 13/15/17-length ones
-    all_c = [_strip_seps(c) for s in rows for c in _CARD_RX.findall(s or "")]
-    assert list(luhn_valid(np.asarray(all_c, dtype=object))) == [
-        scalar_luhn(c) for c in all_c
-    ]
-
-    out = (
-        scrub_cards(ray.data.from_pandas(df).repartition(3), "content")
-        .to_pandas()
-        .sort_values("doc_id")
-        .reset_index(drop=True)
-    )
-    assert out.loc[0, "content"] == "pay with <CARD> today"
-    assert out.loc[0, "n_card_scrubs"] == 1
-    assert out.loc[2, "content"] == "two: <CARD> and <CARD>"
-    assert out.loc[2, "n_card_scrubs"] == 2
-    # invalid runs and clean rows pass through byte-identical
-    for i in (1, 3, 4, 7):
-        assert out.loc[i, "content"] == rows[i]
-        assert out.loc[i, "n_card_scrubs"] == 0
-        assert (
-            hashlib.sha256(out.loc[i, "content"].encode()).hexdigest()
-            == hashlib.sha256(rows[i].encode()).hexdigest()
-        )
-
-
-def test_iban_scan_matches_scalar_mod97():
-    """iban_scan counts vs a direct big-int mod-97 reference; known-valid
-    GB/DE/FR IBANs pass, single-digit corruptions fail, embedded-in-
-    alnum runs don't match (word boundary)."""
-    import pandas as pd
-
-    import ray
-
-    from qamd_ray.scrub import _IBAN_RX, _iban_digits, iban_scan, iban_valid
-
-    def scalar_valid(c):
-        return int(_iban_digits(c)) % 97 == 1
-
-    rows = [
-        "send to GB82WEST12345698765432 please",        # valid
-        "typo GB82WEST12345698765433 here",             # invalid
-        "DE89370400440532013000 and FR1420041010050500013M02606",  # 2 valid
-        "lower gb82west12345698765432 ignored",         # lowercase: no match
-        "xGB82WEST12345698765432 embedded",             # no \b → no candidate
-        "not an iban at all",
-        None,
-        "NL91ABNA0417164300.",                          # valid, punct-bounded
-    ]
-    df = pd.DataFrame({"doc_id": np.arange(len(rows)), "content": rows})
-    got = (
-        iban_scan(ray.data.from_pandas(df).repartition(3), "content")
-        .to_pandas()
-        .sort_values("doc_id")
-        .reset_index(drop=True)
-    )
-    for i, s in enumerate(rows):
-        cands = _IBAN_RX.findall(s or "")
-        assert got.loc[i, "n_candidates"] == len(cands), s
-        assert got.loc[i, "n_ibans"] == sum(scalar_valid(c) for c in cands), s
-    all_c = [c for s in rows for c in _IBAN_RX.findall(s or "")]
-    assert list(iban_valid(np.asarray(all_c, dtype=object))) == [
-        scalar_valid(c) for c in all_c
-    ]
-
-
-def test_scrub_ibans_rewrites_only_valid():
-    """scrub_ibans rewrites mod-97-valid IBANs; invalid candidates and
-    clean rows pass through byte-identical."""
-    import hashlib
-
-    import pandas as pd
-
-    import ray
-
-    from qamd_ray.scrub import scrub_ibans
-
-    rows = [
-        "wire GB82WEST12345698765432 now",       # valid → scrub
-        "ref GB82WEST12345698765433 kept",       # invalid → untouched
-        "two NL91ABNA0417164300 DE89370400440532013000",  # both valid
-        "no iban here",
-        None,
-    ]
-    df = pd.DataFrame({"doc_id": np.arange(len(rows)), "content": rows})
-    out = (
-        scrub_ibans(ray.data.from_pandas(df).repartition(2), "content")
-        .to_pandas()
-        .sort_values("doc_id")
-        .reset_index(drop=True)
-    )
-    assert out.loc[0, "content"] == "wire <IBAN> now"
-    assert out.loc[0, "n_iban_scrubs"] == 1
-    assert out.loc[2, "content"] == "two <IBAN> <IBAN>"
-    assert out.loc[2, "n_iban_scrubs"] == 2
-    for i in (1, 3):
-        assert out.loc[i, "content"] == rows[i]
-        assert out.loc[i, "n_iban_scrubs"] == 0
-        assert (
-            hashlib.sha256(out.loc[i, "content"].encode()).hexdigest()
-            == hashlib.sha256(rows[i].encode()).hexdigest()
-        )
-
-
-def test_scrub_ips_truncates_only_valid_quads():
-    """scrub_ips rewrites octet-valid dotted quads to a.b.c.xxx and
-    counts them; out-of-range octets, version-ish embedded runs and
-    clean rows pass through byte-identical (sha256 invariant); Python re
-    and DuckDB RE2 agree on the identical pattern."""
-    import hashlib
-
-    import duckdb
-    import pandas as pd
-
-    import ray
-
-    from qamd_ray.scrub import IP_PATTERN, scrub_ips
-
-    rows = [
-        "srv 10.0.0.1:8080 and 192.168.10.42",  # 2 valid
-        "bad 999.1.2.3 and 1.2.3.256",          # none valid
-        "edge 0.0.0.0 255.255.255.255",         # both valid
-        "run 1.2.3.4.5 pads",                   # leading quad matches
-        "no ip here",
-        None,
-        "x10.0.0.1 embedded",                   # \b fails → untouched
-    ]
-    df = pd.DataFrame({"doc_id": np.arange(len(rows)), "content": rows})
-    out = (
-        scrub_ips(ray.data.from_pandas(df).repartition(3), "content")
-        .to_pandas()
-        .sort_values("doc_id")
-        .reset_index(drop=True)
-    )
-    assert out.loc[0, "content"] == "srv 10.0.0.xxx:8080 and 192.168.10.xxx"
-    assert out.loc[0, "n_ips"] == 2
-    assert out.loc[2, "content"] == "edge 0.0.0.xxx 255.255.255.xxx"
-    assert out.loc[2, "n_ips"] == 2
-    assert out.loc[3, "content"] == "run 1.2.3.xxx.5 pads"
-    assert out.loc[3, "n_ips"] == 1
-    for i in (1, 4, 6):
-        assert out.loc[i, "content"] == rows[i]
-        assert out.loc[i, "n_ips"] == 0
-        assert (
-            hashlib.sha256(out.loc[i, "content"].encode()).hexdigest()
-            == hashlib.sha256(rows[i].encode()).hexdigest()
-        )
-    assert out.loc[5, "content"] == ""  # null → '' (fill_null), no match
-    # the SQL twin (identical pattern) reproduces count and rewrite
-    for i, s in enumerate(rows):
-        db_text, db_n = duckdb.sql(
-            "select regexp_replace(?, ?, '\\1xxx', 'g'),"
-            " len(regexp_extract_all(?, ?))",
-            params=[s or "", IP_PATTERN, s or "", IP_PATTERN],
-        ).fetchone()
-        assert db_text == out.loc[i, "content"]
-        assert db_n == out.loc[i, "n_ips"]
-
-
-def test_int_nb_distributed_matches_local_reference():
-    """fit_int_nb_distributed == a brute-force single-process fit (integer
-    counts make the distributed fit order-independent), and score_batch
-    reproduces the hand formula; vocab_size below the token count
-    exercises the (df desc, token asc) selection boundary."""
-    import pandas as pd
-    import ray
-
-    from qamd_ray.models import IntNBModel, fit_int_nb_distributed, int_nb_scores
-
-    texts = [
-        "the cat sat on the mat",
-        "the dog ate my homework",
-        "cat cat cat",          # dup tokens must count once per doc
-        "big data big model",
-        "",                     # empty doc: no tokens, score = bias
-        None,                   # null text = empty
-        "the big cat",
-        "mat dog data",
-    ]
-    y = [1, 1, 0, 0, 0, 1, 1, 0]
-    df = pd.DataFrame({"doc_id": range(len(texts)), "text": texts, "y": y})
-    ds = ray.data.from_pandas(df).repartition(3)
-
-    # brute-force reference fit
-    def toks(t):
-        import re
-        return {x for x in re.split("[ \t\n\f\r]+", (t or "").lower()) if x}
-
-    from collections import Counter
-    c1, tot = Counter(), Counter()
-    for t, yy in zip(texts, y):
-        for tok in toks(t):
-            tot[tok] += 1
-            c1[tok] += yy
-    V = 5
-    vocab = sorted(tot, key=lambda k: (-tot[k], k))[:V]
-    n1, n0 = sum(y), len(y) - sum(y)
-    want_w = {
-        t: (c1[t] + 1).bit_length() - (tot[t] - c1[t] + 1).bit_length()
-        for t in vocab
-    }
-    kw = (n1 + 2).bit_length() - (n0 + 2).bit_length()
-    bias = (n1 + 1).bit_length() - (n0 + 1).bit_length()
-
-    m = fit_int_nb_distributed(ds, "text", "y", vocab_size=V)
-    assert m.weights == want_w and m.k_w == kw and m.bias == bias
-
-    def ref_score(t):
-        present = [x for x in toks(t) if x in want_w]
-        return sum(want_w[x] for x in present) - len(present) * kw + bias
-
-    got = (
-        int_nb_scores(ds, m, "text", "doc_id")
-        .to_pandas()
-        .sort_values("doc_id")
-        .reset_index(drop=True)
-    )
-    for i, t in enumerate(texts):
-        assert got.loc[i, "nb_score"] == ref_score(t), (i, t)
-        assert bool(got.loc[i, "nb_pred"]) == (ref_score(t) > 0)
-
-    # scoring must use Arrow lower/split: NBSP is NOT a separator here
-    s_nbsp, p = IntNBModel({"a b": 7}, 0, 0).score_batch(["A b"])
-    assert s_nbsp[0] == 7 and bool(p[0])

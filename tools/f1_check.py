@@ -5,9 +5,9 @@ bench scale — the BASELINE.json headline metric measured beyond the
     python tools/f1_check.py [n_rows] [seed]     # default 24000, seed 4242
 
 Generates a fresh labeled corpus (qamd_ray.synth.gen_corpus — single
-process so (repo, path) keys stay unique, unlike the sharded bench
-writer), writes it to /tmp as multi-row-group parquet (so the pipeline
-runs genuinely parallel, not one from_arrow block), runs the flagship
+process so (repo, path) keys stay unique), writes it to /tmp as
+multi-row-group parquet (so the pipeline runs genuinely parallel, not one
+from_arrow block), starts Ray on the machine's usable CPUs, runs the flagship
 `quality_pipeline`, and diffs keep/scrub decisions row-by-row against
 `qamd_ray.oracle.oracle_labels`. Prints one JSON line.
 """
@@ -32,8 +32,8 @@ def main() -> int:
     import ray
 
     if not ray.is_initialized():
-        ray.init(address="local", num_cpus=32, include_dashboard=False,
-                 logging_level="ERROR")
+        ray.init(address="local", num_cpus=len(os.sched_getaffinity(0)),
+                 include_dashboard=False, logging_level="ERROR")
     from ray.data import DataContext
 
     DataContext.get_current().enable_progress_bars = False
