@@ -16,7 +16,6 @@ Reference semantics reimplemented (not ported):
 
 from __future__ import annotations
 
-import os
 import re
 import string
 from typing import Iterable, Sequence
@@ -279,15 +278,3 @@ def load_wordlists(paths: Iterable[str]) -> frozenset[str]:
         except OSError:
             continue
     return frozenset(words)
-
-
-def force_distributed() -> bool:
-    """True when ``QAMD_FORCE_DISTRIBUTED=1``: every size-routed op takes
-    its at-scale (distributed) path regardless of input size.  The gate
-    runs the pipeline tests once in this mode
-    (``QAMD_FORCE_DISTRIBUTED=1 python -m pytest tests/test_quality_pipeline.py``)
-    — the cheapest proof that the at-scale code paths are correct on a
-    small input.  Read at routing-decision time on the
-    driver, never inside batch fns, so a plain ``os.environ`` toggle is
-    race-free."""
-    return os.environ.get("QAMD_FORCE_DISTRIBUTED", "") == "1"

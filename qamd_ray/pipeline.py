@@ -8,27 +8,24 @@ Ray-Data-native rendering of BASELINE.json's north rule.  Lifecycle
       → ModelScorers      (langid + perplexity; deterministic models
                            built lazily in each worker process and cached
                            module-level — no actor spin-up)
-      → duplicate verdict (shuffle of (sha,repo,path) ONLY — content never
-                           crosses the wire; winner map broadcast back)
+      → duplicate verdict (only (sha, "repo\\x00path") leaves each task —
+                           content never reaches the driver; winner map
+                           reduced there and broadcast back)
       → Scrubber + keep   (stateless map_batches)
       → write partitioned Parquet + per-shard lineage manifests
-      → per-repo report   (per-batch partial counts → tiny groupby("repo"))
+      → per-repo report   (per-batch partial counts → one driver groupby)
 
 Scale notes, explicit:
 
-* The only all-to-all exchanges are (a) the dup-key groupby, which moves
-  three short string columns per row, and (b) the report groupby, which
-  moves one partial-count row per (repo × batch) — both O(keys), not
-  O(bytes).  Content itself streams straight from read to write.
-* Giant-repo skew never concentrates on one reducer because the report
-  pre-aggregates per batch (each batch emits ≤ distinct-repos-in-batch
-  rows) — the salted-key pattern of SURVEY.md §4 strengthened to a full
-  combiner.
-* The duplicate winner map (one entry per duplicated distinct content) is
-  collected to the driver and broadcast via ``ray.put`` — right whenever
-  dups are a modest fraction (the common corpus case).  For dup-dominated
-  inputs the winner table stays a Dataset (``duplicate_winners_dataset``)
-  and ``finalize`` flags duplicates with a hash-shuffle join.
+* Content streams straight from read to write; there is no all-to-all
+  exchange.  The two driver reductions are QAMD's one in-RAM table
+  (src/readstat/handler.rs:133-151), at every input size.
+* The duplicate verdict collects one (sha, key) pair per input row and
+  reduces it in pandas.  That is O(rows) driver memory — see README.md
+  for the measured cost per million rows.
+* The per-repo report collects one partial-count row per (repo × batch),
+  so giant-repo skew never grows it beyond the batch count — the
+  salted-key pattern of SURVEY.md §4 strengthened to a full combiner.
 * Checkpoint/resume (north rule): ``run_checkpointed`` shards the input by
   Parquet row group, writes ``part=<k>/data/`` (task-written Parquet files,
   atomically published by directory rename) + ``manifest.json`` per shard,
@@ -51,7 +48,6 @@ import pyarrow.parquet as pq
 
 import ray
 import ray.data
-from ray.data.aggregate import Count, Min, Sum
 
 from . import kernels as K
 from .config import Config
@@ -70,106 +66,6 @@ def _as_dataset(source: Datasetish, columns: Optional[list[str]] = None) -> "ray
         return ray.data.read_parquet(list(source) if not isinstance(source, str) else source,
                                      columns=columns)
     return source
-
-
-# ---------------------------------------------------------------------------
-# hash-shuffle join helpers (the dup-dominated winner-table path)
-# ---------------------------------------------------------------------------
-
-# Share of the cluster's CPUs and memory one join's aggregator pool may
-# reserve.  Every join in a plan holds its aggregators for the whole plan,
-# so chained joins add up.
-_JOIN_CLUSTER_SHARE = 1 / 8
-
-
-def hash_join(
-    left: "ray.data.Dataset",
-    right: "ray.data.Dataset",
-    on: str | Sequence[str],
-    how: str = "inner",
-) -> "ray.data.Dataset":
-    """Distributed hash-shuffle join (``Dataset.join``): both sides are
-    hash-partitioned on the key, so neither needs to fit in memory.
-
-    Fan-out is one partition per CPU (at least 2).  The aggregator actors
-    are sized from ``ray.cluster_resources()``: Ray's default reserves
-    ~3.5 GiB of logical memory for each join's aggregators at four
-    partitions (128 MiB target blocks), and a shuffle task whose input
-    block reports no size — an empty block left by a filter — asks for
-    2 GiB.  Three chained joins reserve nearly all of a 10.8 GiB node, so
-    that task never schedules and the plan STALLS with idle CPUs and no
-    error.  Capping each pool at ``_JOIN_CLUSTER_SHARE`` of the cluster's
-    CPUs and memory leaves the rest to the tasks that feed the joins."""
-    ctx = ray.data.DataContext.get_current()
-    res = ray.cluster_resources()
-    num_partitions = max(2, int(res.get("CPU", 1)))
-    num_aggregators = min(
-        num_partitions,
-        ctx.max_hash_shuffle_aggregators or ctx.default_hash_shuffle_parallelism,
-    )
-    share = _JOIN_CLUSTER_SHARE / num_aggregators
-    return left.join(
-        right,
-        join_type=how,
-        num_partitions=num_partitions,
-        on=(on,) if isinstance(on, str) else tuple(on),
-        aggregator_ray_remote_args={
-            "num_cpus": res.get("CPU", 1) * share,
-            "memory": int(res.get("memory", 0) * share),
-            "scheduling_strategy": "SPREAD",
-        },
-    )
-
-
-def _coerce_cols(names_types: list[tuple[str, pa.DataType]]):
-    """Batch fn pinning an exact Arrow schema (column order + types);
-    missing columns become typed nulls of the batch length (an empty
-    batch gets typed empty arrays; a left_outer join partition with no
-    right-side rows can emit non-empty blocks MISSING the right-side
-    columns — their correct value is null)."""
-
-    def _f(batch: pa.Table) -> pa.Table:
-        cols = {}
-        for name, typ in names_types:
-            cols[name] = (
-                pc.cast(batch[name], typ)
-                if name in batch.column_names
-                else pa.nulls(batch.num_rows, typ)
-            )
-        return pa.table(cols)
-
-    return _f
-
-
-def _compact(
-    ds: "ray.data.Dataset", names_types: list[tuple[str, pa.DataType]]
-) -> "ray.data.Dataset":
-    """Materialize ``ds`` and rebuild it from only its NON-EMPTY blocks,
-    as Arrow with a pinned schema.
-
-    Ray hash aggregates emit schemaless empty blocks for empty shuffle
-    partitions, and downstream maps skip zero-row blocks, so the poison
-    propagates; ``Dataset.join`` distributes each side's schema to its
-    aggregators from the FIRST incoming block, so a schemaless block
-    arriving first makes the join fail nondeterministically with "No
-    match for key field".  Blocks stay in the object store — row counts
-    come from tiny num_cpus=0 tasks, never a driver fetch.
-    """
-    refs = ds.materialize().to_arrow_refs()
-
-    @ray.remote(num_cpus=0)
-    def _n(t: pa.Table) -> int:
-        return t.num_rows
-
-    counts = ray.get([_n.remote(r) for r in refs])
-    keep = [r for r, n in zip(refs, counts) if n > 0]
-    if not keep:
-        return ray.data.from_arrow(
-            pa.table({name: pa.array([], typ) for name, typ in names_types})
-        )
-    return ray.data.from_arrow_refs(keep).map_batches(
-        _coerce_cols(names_types), batch_format="pyarrow"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -223,9 +119,31 @@ def content_keys(ds: "ray.data.Dataset") -> "ray.data.Dataset":
     return ds.map_batches(_keys, batch_format="pyarrow")
 
 
+def _row_keys(batch: pa.Table) -> list[str]:
+    """The winner identity "repo\\x00path" of every row of ``batch``."""
+    return [
+        f"{r}\x00{p}"
+        for r, p in zip(batch["repo"].to_pylist(), batch["path"].to_pylist())
+    ]
+
+
+def _winner_map(df: pd.DataFrame) -> dict[str, str]:
+    """{content_sha256 → lexicographic-min key} for every sha that occurs
+    more than once in ``df`` (columns ``content_sha256``, ``key``) — one
+    vectorized pandas reduction, no per-group Python."""
+    dups = df[df.duplicated("content_sha256", keep=False)]
+    return dict(dups.groupby("content_sha256", sort=False)["key"].min().items())
+
+
+def _check_rows(what: str, got: int, n_rows: Optional[int]) -> None:
+    """``n_rows`` is the caller's expected input row count; a different
+    collected count means a block was lost on the way to the driver."""
+    if n_rows is not None and got != n_rows:
+        raise ValueError(f"{what}: expected {n_rows} input rows, collected {got}")
+
+
 def duplicate_winners(
     enriched: "ray.data.Dataset",
-    driver_collect_threshold: int = 5_000_000,
     n_rows: Optional[int] = None,
 ) -> dict[str, str]:
     """{content_sha256 → winner "repo\\x00path"} for every sha seen >1×.
@@ -236,77 +154,32 @@ def duplicate_winners(
     map is small (one entry per DUPLICATED distinct content) and is
     broadcast to the dup-flag stage.
 
-    Below ``driver_collect_threshold`` rows the (sha,key) projection is
-    collected and reduced vectorized on the driver (a distributed sort
-    shuffle costs seconds of fixed latency that dwarf tiny inputs); above
-    it, one hash aggregate — no per-group Python either way.
+    The (sha, key) projection is built in Ray tasks and collected to the
+    driver, which reduces it with :func:`_winner_map` — QAMD's one in-RAM
+    table.  ``n_rows``, when given, must equal the collected row count.
     """
 
     def _with_key(batch: pa.Table) -> pa.Table:
-        repos = np.asarray(K._as_array(batch["repo"]), dtype=object)
-        paths = np.asarray(K._as_array(batch["path"]), dtype=object)
-        key = pa.array([f"{r}\x00{p}" for r, p in zip(repos, paths)], pa.string())
+        key = pa.array(_row_keys(batch), pa.string())
         return pa.table({"content_sha256": batch["content_sha256"], "key": key})
 
-    proj = enriched.select_columns(["content_sha256", "repo", "path"]).map_batches(
-        _with_key, batch_format="pyarrow"
+    df = (
+        enriched.select_columns(["content_sha256", "repo", "path"])
+        .map_batches(_with_key, batch_format="pyarrow")
+        .to_pandas()
     )
-    if n_rows is None:
-        n_rows = enriched.count()
-    if n_rows <= driver_collect_threshold and not K.force_distributed():
-        df = proj.to_pandas()
-        dup_mask = df.duplicated("content_sha256", keep=False)
-        dups = (
-            df[dup_mask]
-            .groupby("content_sha256", sort=False)["key"]
-            .min()
-            .reset_index()
-            .rename(columns={"key": "winner"})
-        )
-    else:
-        agg = proj.groupby("content_sha256").aggregate(
-            Count(alias_name="n"), Min("key", alias_name="winner")
-        )
-        dups = agg.filter(expr="n > 1").to_pandas()
-    return dict(zip(dups["content_sha256"], dups["winner"]))
-
-
-def duplicate_winners_dataset(keys_ds: "ray.data.Dataset") -> "ray.data.Dataset":
-    """(content_sha256, winner) for every sha seen more than once, as a
-    never-collected Dataset — the at-scale form of
-    :func:`duplicate_winners` for dup-dominated corpora where the winner
-    map does not fit the driver.  Feed it to :func:`finalize`, which flags
-    duplicates with a hash-shuffle join instead of a broadcast dict."""
-
-    def _with_key(batch: pa.Table) -> pa.Table:
-        repos = np.asarray(K._as_array(batch["repo"]), dtype=object)
-        paths = np.asarray(K._as_array(batch["path"]), dtype=object)
-        key = pa.array([f"{r}\x00{p}" for r, p in zip(repos, paths)], pa.string())
-        return pa.table({"content_sha256": batch["content_sha256"], "key": key})
-
-    proj = keys_ds.select_columns(["content_sha256", "repo", "path"]).map_batches(
-        _with_key, batch_format="pyarrow"
-    )
-    agg = (
-        proj.groupby("content_sha256")
-        .aggregate(Count(alias_name="n"), Min("key", alias_name="winner"))
-        .filter(expr="n > 1")
-    )
-    return _compact(
-        agg, [("content_sha256", pa.string()), ("winner", pa.string())]
-    )
+    _check_rows("duplicate_winners", len(df), n_rows)
+    return _winner_map(df)
 
 
 def _winners_from_files(
     paths: Sequence[str] | str, num_chunks: int = 64
 ) -> dict[str, str]:
-    """Fast path of :func:`duplicate_winners` for Parquet sources under the
-    driver-collect threshold: one plain Ray task per row-group chunk reads
-    (repo, path, content), hashes, and returns only (sha, key) arrays; the
-    driver reduces them vectorized.  Skips a whole Ray-Data job's worth of
-    driver choreography (~0.5 s) — significant against a seconds-long run.
-    Same winner definition: lexicographic min "repo\\x00path" per sha seen
-    more than once.
+    """:func:`duplicate_winners` for Parquet sources: one plain Ray task
+    per row-group chunk reads (repo, path, content), hashes, and returns
+    only (sha, key) arrays; the driver reduces them with
+    :func:`_winner_map`.  Skips a whole Ray-Data job's worth of driver
+    choreography (~0.5 s) — significant against a seconds-long run.
     """
     from .sources import row_group_tasks
 
@@ -323,82 +196,33 @@ def _winners_from_files(
             tbl = pq.ParquetFile(t["path"]).read_row_group(
                 t["row_group"], columns=["repo", "path", "content"]
             )
-            repos = tbl["repo"].to_pylist()
-            paths_ = tbl["path"].to_pylist()
             shas.extend(K.digest_rows(tbl["content"], "sha256"))
-            keys.extend(f"{r}\x00{p}" for r, p in zip(repos, paths_))
+            keys.extend(_row_keys(tbl))
         return shas, keys
 
     parts = ray.get([_keys_chunk.remote(c) for c in chunks if c])
-    df = pd.DataFrame(
-        {
-            "content_sha256": np.concatenate([p[0] for p in parts]) if parts else [],
-            "key": np.concatenate([p[1] for p in parts]) if parts else [],
-        }
+    return _winner_map(
+        pd.DataFrame(
+            {
+                "content_sha256": np.concatenate([p[0] for p in parts]) if parts else [],
+                "key": np.concatenate([p[1] for p in parts]) if parts else [],
+            }
+        )
     )
-    dup_mask = df.duplicated("content_sha256", keep=False)
-    dups = (
-        df[dup_mask]
-        .groupby("content_sha256", sort=False)["key"]
-        .min()
-        .reset_index()
-        .rename(columns={"key": "winner"})
-    )
-    return dict(zip(dups["content_sha256"], dups["winner"]))
 
 
 def finalize(
     enriched: "ray.data.Dataset",
     config: Config,
-    winners: Union[dict[str, str], "ray.data.Dataset", None] = None,
+    winners: Optional[dict[str, str]] = None,
 ) -> "ray.data.Dataset":
     """dup flag → scrub → keep column.
 
-    ``winners`` as a dict flags duplicates with a broadcast map (right for
-    a modest dup fraction: O(duplicated distinct contents) entries).  As a
-    Dataset (from :func:`duplicate_winners_dataset`) the flag is a
-    hash-shuffle LEFT join on content_sha256 — the dup-dominated-corpus
-    path, where the winner table itself is data-scale; it shuffles the
-    enriched rows once, the price of not holding the map anywhere."""
+    ``winners`` (from :func:`duplicate_winners`) is broadcast to the
+    dup-flag tasks: O(duplicated distinct contents) entries."""
     ds = enriched
     q = config.quality_filter
-    want_dup = q.duplicate_content is not None and q.duplicate_content.setting
-    if (
-        want_dup
-        and isinstance(winners, ray.data.Dataset)
-        and winners.count() == 0
-    ):
-        # a join against an empty side never delivers its schema to the
-        # shuffle aggregators (Ray drops empty blocks) — and an empty
-        # winner table just means "no duplicates"
-        winners = {}
-    if want_dup and isinstance(winners, ray.data.Dataset):
-        joined = hash_join(ds, winners, on="content_sha256", how="left_outer")
-
-        def _dup_join(batch: pa.Table) -> pa.Table:
-            if "winner" not in batch.column_names:
-                # unmatched-only join partitions can omit the right-side
-                # column entirely — no winner row means not a duplicate
-                return batch.append_column(
-                    "f_duplicate", pa.array(np.zeros(len(batch), dtype=bool))
-                )
-            win = np.asarray(K._as_array(batch["winner"]), dtype=object)
-            repos = np.asarray(K._as_array(batch["repo"]), dtype=object)
-            paths = np.asarray(K._as_array(batch["path"]), dtype=object)
-            hit = np.fromiter(
-                (
-                    w is not None and f"{r}\x00{p}" != w
-                    for w, r, p in zip(win, repos, paths)
-                ),
-                bool,
-                len(batch),
-            )
-            return batch.drop_columns(["winner"]).append_column(
-                "f_duplicate", pa.array(hit)
-            )
-
-        ds = joined.map_batches(_dup_join, batch_format="pyarrow")
-    elif want_dup:
+    if q.duplicate_content is not None and q.duplicate_content.setting:
         win_ref = ray.put(winners or {})
 
         def _dup(batch: pa.Table) -> pa.Table:
@@ -407,13 +231,11 @@ def finalize(
                 return batch.append_column(
                     "f_duplicate", pa.array(np.zeros(len(batch), dtype=bool))
                 )
-            shas = np.asarray(K._as_array(batch["content_sha256"]), dtype=object)
-            repos = np.asarray(K._as_array(batch["repo"]), dtype=object)
-            paths = np.asarray(K._as_array(batch["path"]), dtype=object)
+            shas = batch["content_sha256"].to_pylist()
             hit = np.fromiter(
                 (
-                    s in wmap and f"{r}\x00{p}" != wmap[s]
-                    for s, r, p in zip(shas, repos, paths)
+                    s in wmap and key != wmap[s]
+                    for s, key in zip(shas, _row_keys(batch))
                 ),
                 bool,
                 len(batch),
@@ -469,7 +291,6 @@ def quality_pipeline(
     config: Config,
     *,
     model_batch_size: int = 512,
-    dup_broadcast_threshold: int = 5_000_000,
 ) -> "ray.data.Dataset":
     """End-to-end, fully streaming — nothing is materialized.
 
@@ -493,40 +314,10 @@ def quality_pipeline(
     winners = None
     q = config.quality_filter
     if q.duplicate_content is not None and q.duplicate_content.setting:
-        try:
-            n_rows = ds.count()  # metadata-only for parquet/from_arrow
-        except Exception:  # pragma: no cover
-            n_rows = None
-        if (
-            isinstance(source, (str, list, tuple))
-            and n_rows is not None
-            and n_rows <= 5_000_000
-            and not K.force_distributed()
-        ):
+        if isinstance(source, (str, list, tuple)):
             winners = _winners_from_files(source)
-        elif (
-            n_rows is not None
-            and n_rows <= 5_000_000
-            and not K.force_distributed()
-        ):
-            keys_ds = content_keys(
-                _as_dataset(source, columns=["repo", "path", "content"])
-            )
-            winners = duplicate_winners(keys_ds, n_rows=n_rows)
         else:
-            # at-scale: build the winner table as a Dataset; broadcast it
-            # only if it turns out small, else finalize flags duplicates
-            # with a hash-shuffle join (dup-dominated corpora would blow
-            # the driver / every worker heap through a broadcast dict)
-            keys_ds = content_keys(
-                _as_dataset(source, columns=["repo", "path", "content"])
-            )
-            wds = duplicate_winners_dataset(keys_ds)
-            if not K.force_distributed() and wds.count() <= dup_broadcast_threshold:
-                wdf = wds.to_pandas()
-                winners = dict(zip(wdf["content_sha256"], wdf["winner"]))
-            else:
-                winners = wds
+            winners = duplicate_winners(content_keys(ds))
     enriched = enrich(ds, config, model_batch_size=model_batch_size)
     return finalize(enriched, config, winners)
 
@@ -568,23 +359,15 @@ def repo_report(
     final: "ray.data.Dataset",
     *,
     n_rows: Optional[int] = None,
-    driver_reduce_threshold: int = 5_000_000,
 ) -> pa.Table:
     """Per-repo pass/fail counts for every flag — one row per repo.
 
     Per-batch partial aggregation (pandas groupby inside map_batches)
-    bounds the exchange to O(repos × batches) rows regardless of skew;
-    the reference's whole-file counters (report summary HashMap) fall
-    out as the column sums of this table.
-
-    The final reduction is size-routed on the explicit ``n_rows`` hint
-    (``ds.count()`` would execute the mapped lineage): at or under
-    ``driver_reduce_threshold`` input rows the partials are collected
-    and reduced with one pandas groupby — Ray's distributed groupby
-    costs ~1 s of fixed shuffle choreography that dominates small-corpus
-    report time (measured 3.7 → 2.6 s on the 24k-row flagship bench).
-    Above it (or with no hint) the distributed groupby runs and nothing
-    driver-sized exists.
+    bounds what reaches the driver to O(repos × batches) rows regardless
+    of skew; the driver sums the partials per repo with one pandas
+    groupby.  The reference's whole-file counters (report summary
+    HashMap) fall out as the column sums of this table.  ``n_rows``,
+    when given, must equal the number of rows the partials counted.
     """
     names = getattr(final, "_qamd_columns", None) or final.schema().names
     flags = _flag_columns(names)
@@ -609,19 +392,10 @@ def repo_report(
 
     partials = final.map_batches(_partials, batch_format="pyarrow")
     sum_cols = flags + ["n_rows"] + (["n_keep"] if keep_col else [])
-    if (
-        n_rows is not None
-        and n_rows <= driver_reduce_threshold
-        and not K.force_distributed()
-    ):
-        pdf = partials.to_pandas()
-        rep = pdf.groupby("repo", sort=False)[sum_cols].sum().reset_index()
-        t = pa.Table.from_pandas(rep, preserve_index=False)
-        return t.sort_by("repo")
-    aggs = [Sum(c, alias_name=c) for c in sum_cols]
-    rep = partials.groupby("repo").aggregate(*aggs)
-    t = pa.Table.from_pandas(rep.to_pandas(), preserve_index=False)
-    return t.sort_by("repo")
+    pdf = partials.to_pandas()
+    _check_rows("repo_report", int(pdf["n_rows"].sum()), n_rows)
+    rep = pdf.groupby("repo", sort=False)[sum_cols].sum().reset_index()
+    return pa.Table.from_pandas(rep, preserve_index=False).sort_by("repo")
 
 
 def summary_report(repo_table: pa.Table, metadata_only: bool = False,
@@ -762,15 +536,13 @@ def run_checkpointed(
     *,
     num_shards: int = 16,
     model_batch_size: int = 512,
-    dup_broadcast_threshold: int = 5_000_000,
 ) -> dict:
     """Three-phase resumable run; returns the run summary (also written to
     ``out_dir/report.json``).
 
     Layout:  ``out_dir/enriched/part=<k>/{data/,manifest.json}``
              ``out_dir/final/part=<k>/{data/,manifest.json}``
-             ``out_dir/winners.json`` (or ``winners_parquet/`` above the
-             broadcast threshold)  ``out_dir/report.json``
+             ``out_dir/winners.json``  ``out_dir/report.json``
 
     Each manifest records its input row groups, row count and wall time;
     a shard whose manifest validates is skipped on restart — lineage +
@@ -819,44 +591,21 @@ def run_checkpointed(
 
     # ---- phase 2: global duplicate verdict over the enriched projection --
     winners_path = os.path.join(out_dir, "winners.json")
-    winners_pq = os.path.join(out_dir, "winners_parquet")
     q = config.quality_filter
-    want_dup = q.duplicate_content is not None and q.duplicate_content.setting
-    if want_dup:
+    winners: dict[str, str] = {}
+    if q.duplicate_content is not None and q.duplicate_content.setting:
         if os.path.exists(winners_path):
             with open(winners_path) as f:
                 winners = json.load(f)
-        elif os.path.isdir(winners_pq):
-            winners = ray.data.read_parquet(winners_pq)
         else:
             proj = ray.data.read_parquet(
                 sorted(glob.glob(os.path.join(enr_dir, "part=*", "data", "*.parquet"))),
                 columns=["content_sha256", "repo", "path"],
             )
-            if not K.force_distributed() and proj.count() <= 5_000_000:
-                winners = duplicate_winners(proj)
-                with open(winners_path + ".tmp", "w") as f:
-                    json.dump(winners, f)
-                os.replace(winners_path + ".tmp", winners_path)
-            else:
-                wds = duplicate_winners_dataset(proj)
-                if not K.force_distributed() and wds.count() <= dup_broadcast_threshold:
-                    wdf = wds.to_pandas()
-                    winners = dict(zip(wdf["content_sha256"], wdf["winner"]))
-                    with open(winners_path + ".tmp", "w") as f:
-                        json.dump(winners, f)
-                    os.replace(winners_path + ".tmp", winners_path)
-                else:
-                    # dup-dominated: checkpoint the winner TABLE as parquet
-                    # (atomic dir publish) and flag via join in phase 3
-                    import shutil as _sh
-
-                    _sh.rmtree(winners_pq + ".tmp", ignore_errors=True)
-                    wds.write_parquet(winners_pq + ".tmp")
-                    os.replace(winners_pq + ".tmp", winners_pq)
-                    winners = ray.data.read_parquet(winners_pq)
-    else:
-        winners = {}
+            winners = duplicate_winners(proj)
+            with open(winners_path + ".tmp", "w") as f:
+                json.dump(winners, f)
+            os.replace(winners_path + ".tmp", winners_path)
 
     # ---- phase 3: dup flag + scrub + keep, per shard ---------------------
     for k in range(len(shards)):
@@ -891,9 +640,7 @@ def run_checkpointed(
         glob.glob(os.path.join(fin_dir, "part=*", "data", "*.parquet"))
     )
     final_ds = ray.data.read_parquet(final_files)
-    # pure parquet read: count() is metadata-only, so the report reduction
-    # can size-route without executing anything twice
-    rt = repo_report(final_ds, n_rows=final_ds.count())
+    rt = repo_report(final_ds)
     locs = locator_samples(final_ds)
     rep = summary_report(rt, metadata_only=bool(config.metadata_only), locators=locs)
     rep["run"] = stats

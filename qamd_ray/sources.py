@@ -17,7 +17,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 import ray
@@ -33,26 +32,7 @@ def _expand(paths: str | Sequence[str]) -> list[str]:
     for p in paths:
         if os.path.isdir(p):
             hits: list[str] = []
-            for ext in (
-                "parquet",
-                "csv",
-                "csv.gz",
-                "jsonl",
-                "jsonl.gz",
-                "ndjson",
-                "ndjson.gz",
-                "json",
-                "json.gz",
-                "feather",
-                "arrow",
-                "ipc",
-                "orc",
-                "dta",
-                "sav",
-                "por",
-                "sas7bdat",
-                "xpt",
-            ):
+            for ext in ("parquet", "dta", "sav", "por", "sas7bdat", "xpt"):
                 hits = sorted(
                     glob.glob(os.path.join(p, "**", f"*.{ext}"), recursive=True)
                 )
@@ -115,139 +95,6 @@ def read_parquet_with_row_index(
     # serial Ray task
     return ray.data.from_items(tasks, override_num_blocks=len(tasks)).map_batches(
         _read, batch_size=1, batch_format="pyarrow"
-    )
-
-
-def read_table(
-    paths: str | Sequence[str],
-    columns: Optional[list[str]] = None,
-    empty_string_is_null: bool = True,
-) -> "ray.data.Dataset":
-    """Fuzzy reader dispatch by file extension (reference: read() picks a
-    parser by extension and errors otherwise, src/readstat/read.rs:21-39).
-
-    The statistical formats collapse to the two formats this engine
-    ingests: ``.parquet`` and ``.csv`` (the reference's pure-Rust CSV path,
-    src/readstat/csv/read.rs).  For CSV, the reference's "empty cell ⇒
-    SYSTEM_MISSING" rule (csv/read.rs:112-115) is applied as a vectorized
-    empty→null rewrite so downstream null handling is uniform.
-    Unknown extensions raise, like the reference's dispatcher.
-    """
-    files = _expand(paths)
-    if not files:
-        raise FileNotFoundError(f"no input files under {paths!r}")
-
-    def _ext(f: str) -> str:
-        # honour the double suffix of compressed text formats (.csv.gz,
-        # .jsonl.gz) — pyarrow's open_input_stream(compression='detect')
-        # decompresses them transparently inside the read tasks
-        base, gz = (f[:-3], ".gz") if f.lower().endswith(".gz") else (f, "")
-        return os.path.splitext(base)[1].lower() + gz
-
-    exts = {_ext(f) for f in files}
-    if exts <= {".feather", ".arrow", ".ipc"}:
-        # Arrow IPC / Feather v1+v2 — one read task per file (Ray Data has
-        # no built-in IPC datasource; the file is the natural block unit)
-        import pyarrow.feather as _feather
-
-        def _read_ipc(batch: pa.Table) -> pa.Table:
-            t = _feather.read_table(batch["path"][0].as_py(), columns=columns)
-            return t
-
-        ds = ray.data.from_items(
-            [{"path": f} for f in files], override_num_blocks=len(files)
-        ).map_batches(_read_ipc, batch_size=1, batch_format="pyarrow")
-        return ds
-    if exts <= {".parquet", ".pq"}:
-        return ray.data.read_parquet(files, columns=columns)
-    if exts <= {".orc"}:
-        # ORC — one read task per STRIPE (ORC's row-group analogue), so a
-        # few huge files still parallelize; stripe enumeration is a cheap
-        # driver-side footer read, column pruning happens inside the task
-        import pyarrow.orc as _orc
-
-        units = [
-            {"path": f, "stripe": s}
-            for f in files
-            for s in range(_orc.ORCFile(f).nstripes)
-        ]
-
-        def _read_stripe(batch: pa.Table) -> pa.Table:
-            import pyarrow.orc as _o
-
-            path = batch["path"][0].as_py()
-            stripe = batch["stripe"][0].as_py()
-            rb = _o.ORCFile(path).read_stripe(stripe, columns=columns)
-            return pa.Table.from_batches([rb])
-
-        return ray.data.from_items(
-            units, override_num_blocks=len(units)
-        ).map_batches(_read_stripe, batch_size=1, batch_format="pyarrow")
-    if exts <= {".dta", ".sav", ".por", ".sas7bdat", ".xpt"}:
-        # native statistical readers (data only — use readers.read_stat_table
-        # directly when the header metadata is needed too)
-        from .readers import read_stat_table
-
-        ds, _meta = read_stat_table(files)
-        if columns:
-            ds = ds.select_columns(columns)
-        return ds
-    if exts <= {".jsonl", ".ndjson", ".json", ".jsonl.gz", ".ndjson.gz", ".json.gz"}:
-        # newline-delimited JSON — the other lingua franca of corpus
-        # interchange (read_json handles both jsonl and json arrays)
-        ds = ray.data.read_json(files)
-        if columns:
-            ds = ds.select_columns(columns)
-        return ds
-    if exts <= {".csv", ".csv.gz"}:
-        # pin every column to string so cells keep their raw text — CSV
-        # columns are always Text in the reference (csv/read.rs:84-91);
-        # inference would normalize '01'→1, '1.50'→1.5
-        import csv as _csv
-
-        import pyarrow.csv as pacsv
-
-        # utf-8-sig: strip a UTF-8 BOM if present so the pinned column name
-        # matches Arrow's (pyarrow.csv strips the BOM; plain utf-8 would keep
-        # '﻿' in the first name and silently un-pin that column)
-        if files[0].lower().endswith(".gz"):
-            import gzip as _gzip
-
-            opener = _gzip.open(files[0], "rt", encoding="utf-8-sig", newline="")
-        else:
-            opener = open(files[0], "r", encoding="utf-8-sig", newline="")
-        with opener as fh:
-            header = next(_csv.reader(fh), None)
-        if header is None:
-            raise ValueError(f"empty CSV file: {files[0]}")
-        ds = ray.data.read_csv(
-            files,
-            convert_options=pacsv.ConvertOptions(
-                strings_can_be_null=True,
-                column_types={name: pa.string() for name in header},
-            ),
-        )
-        if columns:
-            ds = ds.select_columns(columns)
-        if empty_string_is_null:
-            import pyarrow.compute as pc
-
-            def _null_empty(batch: pa.Table) -> pa.Table:
-                for i, field in enumerate(batch.schema):
-                    if pa.types.is_string(field.type) or pa.types.is_large_string(field.type):
-                        col = batch.column(i)
-                        mask = pc.equal(col, "")
-                        batch = batch.set_column(
-                            i, field.name, pc.if_else(pc.fill_null(mask, False), None, col)
-                        )
-                return batch
-
-            ds = ds.map_batches(_null_empty, batch_format="pyarrow")
-        return ds
-    raise ValueError(
-        f"unsupported input extension(s) {sorted(exts)}; expected parquet/orc/"
-        "csv[.gz]/jsonl[.gz]/feather/arrow or a statistical format "
-        "(.dta/.sav/.por/.sas7bdat/.xpt)"
     )
 
 

@@ -29,45 +29,14 @@ per-shard reads), where the default's splintering is the real cost.
 from __future__ import annotations
 
 import os
-from typing import Optional, Sequence, Union
-
-Pathish = Union[str, Sequence[str]]
+from typing import Optional
 
 
-def count_row_groups(source: Pathish) -> Optional[int]:
-    """Total parquet row groups under ``source`` (file, directory, or
-    list of either) — the reader's split granularity and the block
-    count above which the read op stops splitting.  None if nothing
-    looks like parquet."""
-    import pyarrow.parquet as pq
-
-    if isinstance(source, (list, tuple)):
-        counts = [count_row_groups(s) for s in source]
-        known = [c for c in counts if c is not None]
-        return sum(known) if known else None
-    if os.path.isdir(source):
-        files = [
-            os.path.join(source, f)
-            for f in sorted(os.listdir(source))
-            if not f.startswith(".") and not f.startswith("_")
-        ]
-        return count_row_groups(files)
-    if not (os.path.isfile(source) and source.endswith((".parquet", ".pq"))):
-        return None
-    try:
-        return pq.read_metadata(source).num_row_groups
-    except Exception:
-        return None
-
-
-def tune_read_parallelism(
-    source: Pathish = None, num_cpus: Optional[int] = None
-) -> int:
+def tune_read_parallelism(num_cpus: Optional[int] = None) -> int:
     """Set ``DataContext.read_op_min_num_blocks`` to
     ``max(2 * num_cpus, 32)`` and return it.  Call once per job, after
-    ``ray.init``.  ``source`` is accepted for API symmetry/diagnostics
-    (see :func:`count_row_groups`) but does not change the value — the
-    module docstring records why row-group capping is deliberately not
+    ``ray.init``.  The value does not depend on the input — the module
+    docstring records why row-group capping is deliberately not
     applied."""
     import ray
     from ray.data import DataContext

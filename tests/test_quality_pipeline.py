@@ -8,8 +8,8 @@ import json
 import os
 import shutil
 
-import numpy as np
 import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
 
 import ray
@@ -93,8 +93,7 @@ def test_planted_defects_are_dropped(corpus, cfg, final_df):
     assert not any(d in droppable for d in kept_defects), kept_defects
 
 
-def test_duplicate_winners_exact(corpus, final_df):
-    ds = ray.data.from_arrow(strip_labels(corpus))
+def test_duplicate_winners_exact(tmp_path, corpus, final_df):
     # independent check: python-side grouping
     rows = strip_labels(corpus).to_pylist()
     groups = {}
@@ -108,22 +107,24 @@ def test_duplicate_winners_exact(corpus, final_df):
     dup = final_df[final_df["f_duplicate"]]
     assert set(zip(dup["repo"], dup["path"])) == expected
     assert len(expected) > 0
-    # distributed winner paths agree with each other and the expectation
-    from qamd_ray.pipeline import duplicate_winners, content_keys
+    # the Parquet-path and Dataset-path winner maps agree with each other
+    # and with the expectation
+    from qamd_ray.pipeline import _winners_from_files, content_keys, duplicate_winners
 
-    keys_ds = content_keys(ds)
-    win_driver = duplicate_winners(keys_ds)
-    win_dist = duplicate_winners(content_keys(ds), driver_collect_threshold=0)
-    assert win_driver == win_dist
+    src = str(tmp_path / "corpus.parquet")
+    pq.write_table(strip_labels(corpus), src, row_group_size=50)
+    win_files = _winners_from_files(src)
+    win_ds = duplicate_winners(content_keys(ray.data.read_parquet(src)))
+    assert win_files == win_ds
     expected_winners = {
         hashlib.sha256(r["content"].encode("utf-8", "surrogatepass")).hexdigest()
         for r in rows
     }
-    assert set(win_driver) <= expected_winners
+    assert set(win_ds) <= expected_winners
     for sha, keys in groups.items():
         if len(keys) > 1:
             r0, p0 = sorted(keys)[0]
-            assert win_driver[sha] == f"{r0}\x00{p0}"
+            assert win_ds[sha] == f"{r0}\x00{p0}"
 
 
 def test_repo_report_and_summary(corpus, cfg, final_df):
@@ -147,17 +148,6 @@ def test_repo_report_and_summary(corpus, cfg, final_df):
         assert ls == sorted(ls, key=lambda d: (d["repo"], d["path"]))
         assert len(ls) <= 1000
         assert len(ls) == min(int(final_df["f_" + name].sum()), 1000)
-
-
-def test_repo_report_paths_equivalent(final_df):
-    """The size-routed driver reduction and the distributed groupby must
-    produce the identical per-repo table (n_rows below vs above the
-    threshold forces each path)."""
-    ds = ray.data.from_pandas(final_df)
-    a = repo_report(ds, n_rows=len(final_df))  # driver path
-    b = repo_report(ds, n_rows=len(final_df), driver_reduce_threshold=0)
-    assert a.column_names == b.column_names
-    assert a.equals(b)
 
 
 def test_metadata_only_suppresses_locators(corpus, cfg, final_df):
@@ -203,94 +193,51 @@ def test_synth_determinism():
 
 
 def test_dup_flag_join_matches_broadcast(corpus, cfg):
-    """Dup-dominated fallback: finalize with the winner TABLE (Dataset →
-    hash-shuffle join) must flag exactly the rows the broadcast dict
-    flags.  Corpus: every content duplicated ~3× so the winner map is
-    data-scale."""
-    import pandas as pd
-
-    from qamd_ray.pipeline import (
-        content_keys,
-        duplicate_winners,
-        duplicate_winners_dataset,
-        finalize,
-        enrich,
-    )
+    """Dup-dominated corpus: every content occurs 3× (the original plus
+    two copies in other repos), so the winner map is a third of the rows.
+    ``finalize`` must flag exactly the non-winning copies, and an empty
+    winner map must flag nothing."""
+    from qamd_ray.pipeline import content_keys, duplicate_winners, enrich, finalize
 
     base = strip_labels(corpus).to_pylist()[:120]
     rows = []
-    for i, r in enumerate(base):
+    for r in base:
         rows.append(r)
         for c in range(2):  # two copies of every content in other repos
             rr = dict(r)
             rr["repo"] = f"copy{c}_{r['repo']}"
             rows.append(rr)
-    t = pa.Table.from_pylist(rows)
-    ds = ray.data.from_arrow(t)
+    ds = ray.data.from_arrow(pa.Table.from_pylist(rows))
     enriched = enrich(ds, cfg).materialize()
 
-    win_dict = duplicate_winners(content_keys(ds))
-    win_ds = duplicate_winners_dataset(content_keys(ds))
-    assert win_ds.count() == len(win_dict)
+    groups = {}
+    for r in rows:
+        h = hashlib.sha256(r["content"].encode("utf-8", "surrogatepass")).hexdigest()
+        groups.setdefault(h, []).append((r["repo"], r["path"]))
+    expected = {k for keys in groups.values() if len(keys) > 1 for k in sorted(keys)[1:]}
+    assert len(expected) >= 2 * 120  # every copy is a loser
 
-    def collect(final):
-        df = final.to_pandas()[["repo", "path", "f_duplicate", "keep"]]
-        return df.sort_values(["repo", "path"]).reset_index(drop=True)
+    winners = duplicate_winners(content_keys(ds), n_rows=len(rows))
+    df = finalize(enriched, cfg, winners).to_pandas()
+    dup = df[df["f_duplicate"]]
+    assert set(zip(dup["repo"], dup["path"])) == expected
+    assert not dup["keep"].any()
 
-    a = collect(finalize(enriched, cfg, win_dict))
-    b = collect(finalize(enriched, cfg, win_ds))
-    assert a.equals(b)
-    assert a["f_duplicate"].sum() >= 2 * 120  # all copies flagged
-
-    # empty winner Dataset behaves like "no duplicates"
-    empty = win_ds.filter(expr="winner == 'impossible'")
-    c = finalize(enriched, cfg, empty).to_pandas()
-    assert not c["f_duplicate"].any()
+    # an empty winner map means "no duplicates"
+    assert not finalize(enriched, cfg, {}).to_pandas()["f_duplicate"].any()
 
 
-def test_chained_joins_finish_and_match_pandas():
-    """Three chained hash-shuffle joins plus ``_compact`` in one plan at
-    conftest's 4 CPUs.  Each right side carries an empty block (a
-    filter drops its second block), whose shuffle task asks Ray for 2 GiB;
-    with Ray's default aggregator sizing the three joins left too little
-    memory for it and the plan stalled.  The plan runs in a worker thread
-    bounded by a timeout, so a stall fails the test instead of hanging
-    the suite."""
-    import threading
-    from concurrent.futures import Future
+def test_row_count_hints_are_checked(corpus, final_df):
+    """``n_rows`` is a checked expectation: a collected row count that
+    differs (a lost block) raises instead of reporting short counts."""
+    from qamd_ray.pipeline import content_keys, duplicate_winners
 
-    import pandas as pd
-
-    from qamd_ray.pipeline import _compact, hash_join
-
-    k = np.arange(300, dtype=np.int64)
-    left = pd.DataFrame({"k": k, "a": k * 2})
-    sides = [
-        pd.DataFrame({"k": k[::2], "b": k[::2] + 1}),
-        pd.DataFrame({"k": k[::3], "c": k[::3] * 3}),
-        pd.DataFrame({"k": k[::5], "d": -k[::5]}),
-    ]
-    names_types = [(c, pa.int64()) for c in ("k", "a", "b", "c", "d")]
-
-    def plan() -> pd.DataFrame:
-        ds = ray.data.from_pandas(left)
-        for side in sides:
-            right = ray.data.from_pandas([side, side + len(k)])
-            ds = hash_join(ds, right.filter(expr=f"k < {len(k)}"), on="k")
-        return _compact(ds, names_types).to_pandas()
-
-    done: Future = Future()
-
-    def run() -> None:
-        try:
-            done.set_result(plan())
-        except Exception as e:  # surfaced by done.result()
-            done.set_exception(e)
-
-    threading.Thread(target=run, daemon=True).start()
-    got = done.result(timeout=120)
-    want = left
-    for side in sides:
-        want = want.merge(side, on="k")
-    got = got.sort_values("k").reset_index(drop=True)
-    pd.testing.assert_frame_equal(got, want, check_dtype=False)
+    ds = ray.data.from_pandas(final_df)
+    n = len(final_df)
+    assert repo_report(ds, n_rows=n).equals(repo_report(ds))
+    with pytest.raises(ValueError, match="repo_report"):
+        repo_report(ds, n_rows=n + 1)
+    keys = content_keys(ray.data.from_arrow(strip_labels(corpus)))
+    assert duplicate_winners(keys, n_rows=n) == duplicate_winners(keys)
+    with pytest.raises(ValueError, match="duplicate_winners"):
+        duplicate_winners(keys, n_rows=n - 1)

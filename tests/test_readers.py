@@ -260,12 +260,9 @@ def test_read_stat_table_multi_file(tmp_path, ray_session):
 
 def test_empty_csv_clean_error(tmp_path, ray_session):
     from qamd_ray.gen_config import default_config
-    from qamd_ray.sources import read_table
 
     empty = tmp_path / "e.csv"
     empty.write_text("")
-    with pytest.raises(ValueError, match="empty CSV"):
-        read_table(str(empty))
     with pytest.raises(ValueError, match="empty CSV"):
         health_check(str(empty), default_config())
 
@@ -277,6 +274,11 @@ def test_read_stat_table_dispatch_errors(tmp_path):
         read_stat_table(str(bad))
     with pytest.raises(FileNotFoundError):
         read_stat_table(str(tmp_path / "missing.dta"))
+    # a corrupt payload surfaces the format reader's own error
+    corrupt = tmp_path / "t.sav"
+    corrupt.write_text("nope")
+    with pytest.raises(ValueError, match="not an SPSS system file"):
+        read_stat_table(str(corrupt))
 
 
 def test_multi_file_sav_metadata_union(tmp_path, ray_session):
