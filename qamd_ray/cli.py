@@ -10,13 +10,14 @@ Mirrors /root/reference/src/bin/qamd.rs (parse_arguments 57-135):
 
 ``run`` executes the flagship quality-filter pipeline checkpointed
 (scrubbed parquet + manifests + report.json/html under OUT_DIR);
-``check`` runs the QAMD 16-check health report over any Parquet table.
+``check`` runs the QAMD 16-check health report over a statistical, CSV or
+Parquet file, in this process.
 Flag semantics preserved: ``--encoded-config`` is base64 YAML
 (qamd.rs:196-209); ``--metadata-only`` suppresses locators but not counts
 (src/check/macros.rs:12-13).
 
-This module owns a Ray session (scripts do); library code never calls
-ray.init.
+``run`` owns a Ray session (scripts do; library code never calls
+ray.init); ``check`` starts none.
 """
 
 from __future__ import annotations
@@ -233,9 +234,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, _yaml.YAMLError) as e:
         print(f"error: invalid config: {e}", file=sys.stderr)
         return 2
-    _init_ray(disable_progress=args.disable_progress)
 
     if args.cmd == "run":
+        _init_ray(disable_progress=args.disable_progress)
         from .pipeline import run_checkpointed
         from .tuning import tune_read_parallelism
 

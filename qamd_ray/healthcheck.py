@@ -1,18 +1,22 @@
-"""The QAMD check registry, distributed: a data health check over Parquet.
+"""The QAMD check registry: a data health check over one in-RAM frequency table.
 
-This is the compatibility engine: it computes, over any Parquet/Arrow table,
-the same 16-check report the reference produces for one SPSS/Stata/SAS/CSV
-file (check registry src/check/mod.rs:26-55, stage lists 66-81), but as Ray
-Data dataflow instead of a single-threaded push parser:
+This is the compatibility engine: it computes, over any Parquet/Arrow table
+or statistical/CSV file, the same 16-check report the reference produces
+for one SPSS/Stata/SAS/CSV file (check registry src/check/mod.rs:26-55,
+stage lists 66-81), in one process, as the reference does:
 
 * the reference's in-RAM frequency table (src/readstat/context.rs:22,
-  built one cell at a time at src/readstat/handler.rs:133-151) becomes a
-  per-batch pyarrow group-by partial aggregation followed by one
-  ``groupby(["vi","value"]).aggregate(Sum, Min)`` shuffle;
+  built one cell at a time at src/readstat/handler.rs:133-151) is built
+  with Arrow's hash ``group_by``: each incoming table (a parsed file, a
+  Parquet row group, a Dataset block) gives per-variable
+  (vi, value) → (count, first row) partials, merged into one table of
+  distinct values, so memory follows distinct values, not rows;
 * per-variable "post" checks (src/check/post.rs:14-39) become vectorized
-  flag columns over the frequency table plus a tiny per-variable aggregate;
-* variable/metadata checks run driver-side (schema and label sets are
-  small by construction — they are column metadata, not data).
+  flag columns over that table plus a per-variable ``group_by("vi")``;
+* variable/metadata checks run over the schema and label sets.
+
+No Ray session is needed; a ``ray.data.Dataset`` source is read block by
+block on the driver.
 
 Exact semantic quirks preserved (SURVEY.md §7 "what's hard"):
 * value identity is *string-rendering* equality incl. float ".0"
@@ -33,21 +37,24 @@ Exact semantic quirks preserved (SURVEY.md §7 "what's hard"):
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
 import numpy as np
+import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
-
-import ray.data
-from ray.data.aggregate import Count, Min, Sum
+import pyarrow.parquet as pq
 
 from .config import Config
 from . import kernels as K
 from .report import LOCATOR_CAP, Report, ReportMetadata
-from .sources import ROW_COL, read_parquet_with_row_index, total_rows
+from .sources import ROW_COL
+
+if TYPE_CHECKING:
+    import ray.data
 
 # Missingness ranks (src/model/missing.rs:7-12); priority order tagged >
 # defined > system > not-missing (src/readstat/handler.rs:104-114).
@@ -140,8 +147,78 @@ def variables_from_schema(
 
 
 # ---------------------------------------------------------------------------
-# frequency table — the reference's central data structure, as a shuffle
+# frequency table — the reference's central data structure, in RAM
 # ---------------------------------------------------------------------------
+
+FREQ_SCHEMA = pa.schema(
+    [("vi", pa.int32()), ("value", pa.string()), ("n", pa.int64()), ("first_row", pa.int64())]
+)
+
+
+def _partials(
+    batch: pa.Table, variables: Sequence[VariableMeta], row_col: str
+) -> pa.Table:
+    """(vi, value, n, first_row) of one table: a hash group-by per variable
+    over the rendered values."""
+    rows = K._as_array(batch[row_col])
+    pieces = []
+    for v in variables:
+        t = pa.table(
+            {
+                "vi": pa.array(np.full(len(batch), v.index, dtype=np.int32)),
+                "value": K.render_values(batch[v.name]),
+                "row": rows,
+            }
+        )
+        g = t.group_by(["vi", "value"]).aggregate([("row", "count"), ("row", "min")])
+        pieces.append(
+            g.select(["vi", "value", "row_count", "row_min"]).rename_columns(FREQ_SCHEMA.names)
+        )
+    return pa.concat_tables(pieces)
+
+
+def _merge(parts: list[pa.Table]) -> pa.Table:
+    """Partials → one row per (vi, value): counts add, first rows take the min."""
+    g = (
+        pa.concat_tables(parts)
+        .group_by(["vi", "value"])
+        .aggregate([("n", "sum"), ("first_row", "min")])
+    )
+    return g.select(["vi", "value", "n_sum", "first_row_min"]).rename_columns(FREQ_SCHEMA.names)
+
+
+def build_frequency_table(
+    tables: Iterable[pa.Table],
+    variables: Sequence[VariableMeta],
+    row_col: str = ROW_COL,
+) -> tuple[pa.Table, int]:
+    """Distinct-value histogram per variable: (vi, value, n, first_row),
+    and the number of rows read.
+
+    Reference: streaming upsert per cell (src/readstat/handler.rs:133-151)
+    keeping the first-seen row as representative. Here: per-table hash
+    group-by partials, merged whenever the pending partials outgrow the
+    merged table, so memory stays within a small multiple of the distinct
+    values and the merge work is linear in the partial rows. "First" is
+    min(global row index), which is independent of table order.
+    """
+    freq: Optional[pa.Table] = None
+    pending: list[pa.Table] = []
+    pending_rows = 0
+    n_rows = 0
+    for batch in tables:
+        n_rows += batch.num_rows
+        if batch.num_rows == 0:
+            continue
+        part = _partials(batch, variables, row_col)
+        pending.append(part)
+        pending_rows += part.num_rows
+        if pending_rows >= (0 if freq is None else freq.num_rows):
+            freq = _merge(pending if freq is None else [freq, *pending])
+            pending, pending_rows = [], 0
+    if pending:
+        freq = _merge([freq, *pending])
+    return (FREQ_SCHEMA.empty_table() if freq is None else freq), n_rows
 
 
 def frequency_table(
@@ -149,50 +226,17 @@ def frequency_table(
     variables: Sequence[VariableMeta],
     row_col: str = ROW_COL,
 ) -> "ray.data.Dataset":
-    """Distinct-value histogram per variable: (vi, value, n, first_row).
+    """:func:`build_frequency_table` over a Dataset's blocks, as a Dataset."""
+    import ray.data
 
-    Reference: streaming upsert per cell (src/readstat/handler.rs:133-151)
-    keeping the first-seen row as representative. Here: per-batch pyarrow
-    group_by partials (combiner — bounds shuffle volume by distinct values
-    per batch, not rows) then one global two-key groupby. "First" is
-    min(global row index), which is execution-order independent.
-    """
-    var_names = [(v.index, v.name) for v in variables]
-
-    def _partials(batch: pa.Table) -> pa.Table:
-        rows = K._as_array(batch[row_col])
-        pieces = []
-        for vi, name in var_names:
-            rendered = K.render_values(batch[name])
-            t = pa.table(
-                {
-                    "vi": pa.array(np.full(len(batch), vi, dtype=np.int32)),
-                    "value": rendered,
-                    "row": rows,
-                }
-            )
-            g = t.group_by(["vi", "value"]).aggregate([("row", "min"), ("row", "count")])
-            pieces.append(
-                pa.table(
-                    {
-                        "vi": g["vi"],
-                        "value": g["value"],
-                        "n": g["row_count"].cast(pa.int64()),
-                        "first_row": g["row_min"],
-                    }
-                )
-            )
-        return pa.concat_tables(pieces)
-
-    partial = ds.map_batches(_partials, batch_format="pyarrow")
-    agg = partial.groupby(["vi", "value"]).aggregate(
-        Sum("n", alias_name="n"), Min("first_row", alias_name="first_row")
+    freq, _ = build_frequency_table(
+        ds.iter_batches(batch_size=None, batch_format="pyarrow"), variables, row_col
     )
-    return agg
+    return ray.data.from_arrow(freq)
 
 
 # ---------------------------------------------------------------------------
-# the distributed health check
+# the health check
 # ---------------------------------------------------------------------------
 
 
@@ -213,14 +257,49 @@ def _missing_rank_for(
     if empty_is_missing:
         rank[vals == ""] = SYSTEM_MISSING
     if dm_set:
-        import pandas as pd
-
         rank[pd.Index(vals).isin(dm_set)] = DEFINED_MISSING
     if tm_set:
-        import pandas as pd
-
         rank[pd.Index(vals).isin(tm_set)] = TAGGED_MISSING
     return rank
+
+
+def _read_csv(paths: Sequence[str], row_col: str) -> pa.Table:
+    """CSV files → one table (reference csv/read.rs loads the whole file in
+    memory — twice; we load once): every column a string (CSV columns are
+    always Text, csv/read.rs:84-91), empty cells ⇒ null
+    (csv/read.rs:112-115), row index from file order."""
+    import csv as _csv
+
+    import pyarrow.csv as pacsv
+
+    tables = []
+    offset = 0
+    for p in paths:
+        # read the header first and pin every column to pa.string()
+        # so cells keep their RAW text ('01' stays '01', '1.50'
+        # stays '1.50') — the reference treats every CSV cell as
+        # Text (csv/read.rs:84-91); type inference + cast would
+        # normalize numeric-looking literals
+        # utf-8-sig strips a UTF-8 BOM so the pinned name matches
+        # Arrow's post-BOM column name (else the first column falls
+        # back to type inference)
+        with open(p, "r", encoding="utf-8-sig", newline="") as fh:
+            header = next(_csv.reader(fh), None)
+        if header is None:
+            raise ValueError(f"empty CSV file: {p}")
+        t = pacsv.read_csv(
+            p,
+            convert_options=pacsv.ConvertOptions(
+                strings_can_be_null=True,
+                column_types={name: pa.string() for name in header},
+            ),
+        )
+        t = t.append_column(
+            row_col, pa.array(np.arange(offset, offset + len(t), dtype=np.int64))
+        )
+        offset += len(t)
+        tables.append(t)
+    return pa.concat_tables(tables)
 
 
 def health_check(
@@ -233,8 +312,10 @@ def health_check(
 ) -> Report:
     """Run the full 16-check registry over a table; returns the Report.
 
-    ``source``: parquet path(s) (read with global row indices) or an
-    existing Dataset that already carries ``row_col``.
+    ``source``: statistical, CSV or Parquet path(s) (read with global row
+    indices), or an existing Dataset that already carries ``row_col``.
+    Everything runs in this process: inputs stream table by table into
+    one frequency table (:func:`build_frequency_table`).
     """
     if isinstance(source, (str, list, tuple)):
         first = str(source if isinstance(source, str) else source[0])
@@ -242,72 +323,41 @@ def health_check(
         if first.lower().endswith((".dta", ".sav", ".por", ".sas7bdat", ".xpt")):
             # statistical formats: full dispatch incl. header metadata
             # (labels, value labels, tagged missing) — read.rs:21-39
-            from .readers import read_stat_table
+            from .readers import iter_stat_tables
 
-            ds, file_meta = read_stat_table(source)
+            file_meta, tables = iter_stat_tables(source)
             if meta is None:
                 meta = file_meta
-            n_rows = ds.count()
+            head = next(tables)  # parsed already; its schema names the columns
+            schema = head.schema
+            tables = itertools.chain([head], tables)
         elif first.lower().endswith(".csv"):
-            # CSV path (reference csv/read.rs loads the whole file in
-            # memory — twice; we load once): pyarrow CSV reader with all
-            # columns as strings (CSV columns are always Text,
-            # csv/read.rs:84-91), empty cells ⇒ null (csv/read.rs:112-115),
-            # deterministic row index from file order
-            import csv as _csv
-
-            import pyarrow.csv as pacsv
-
-            paths = [source] if isinstance(source, str) else list(source)
-            tables = []
-            offset = 0
-            for p in paths:
-                # read the header first and pin every column to pa.string()
-                # so cells keep their RAW text ('01' stays '01', '1.50'
-                # stays '1.50') — the reference treats every CSV cell as
-                # Text (csv/read.rs:84-91); type inference + cast would
-                # normalize numeric-looking literals
-                # utf-8-sig strips a UTF-8 BOM so the pinned name matches
-                # Arrow's post-BOM column name (else the first column falls
-                # back to type inference)
-                with open(p, "r", encoding="utf-8-sig", newline="") as fh:
-                    header = next(_csv.reader(fh), None)
-                if header is None:
-                    raise ValueError(f"empty CSV file: {p}")
-                t = pacsv.read_csv(
-                    p,
-                    convert_options=pacsv.ConvertOptions(
-                        strings_can_be_null=True,
-                        column_types={name: pa.string() for name in header},
-                    ),
-                )
-                t = t.append_column(
-                    row_col, pa.array(np.arange(offset, offset + len(t), dtype=np.int64))
-                )
-                offset += len(t)
-                tables.append(t)
-            full = pa.concat_tables(tables)
-            ds = ray.data.from_arrow(full)
-            n_rows = full.num_rows
+            full = _read_csv([source] if isinstance(source, str) else list(source), row_col)
+            tables = [full]
+            schema = full.schema
         else:
-            ds = read_parquet_with_row_index(source, row_col=row_col)
-            n_rows = total_rows(source)
+            # one row group at a time: memory follows distinct values
+            from .sources import read_row_group, row_group_tasks
+
+            tasks = row_group_tasks(source)
+            if not tasks:
+                raise FileNotFoundError(f"no parquet files under {source!r}")
+            schema = pq.ParquetFile(tasks[0]["path"]).schema_arrow
+            tables = (read_row_group(t, None, row_col) for t in tasks)
     else:
-        ds = source
-        n_rows = ds.count()
+        ds_schema = source.schema()
+        schema = pa.schema(list(zip(ds_schema.names, ds_schema.types)))
+        tables = source.iter_batches(batch_size=None, batch_format="pyarrow")
         default_name = ""
 
-    schema = ds.schema()
-    arrow_schema = pa.schema(
-        [pa.field(n, t) for n, t in zip(schema.names, schema.types)]
-    )
     meta = meta or TableMeta()
     if not meta.variables:
-        meta.variables = variables_from_schema(arrow_schema, row_col=row_col)
+        meta.variables = variables_from_schema(schema, row_col=row_col)
     if not meta.file_name:
         meta.file_name = default_name
     variables = meta.variables
-    metadata_only = config.metadata_only
+    # reading every table completes a multi-file statistical input's meta
+    freq, n_rows = build_frequency_table(tables, variables, row_col=row_col)
 
     report = Report(
         metadata=ReportMetadata(
@@ -332,20 +382,17 @@ def health_check(
     # ---- metadata-side post checks over label sets (small by construction)
     _value_label_metadata_checks(meta, config, report)
 
-    # ---- stage 2+3: frequency table + value/post checks ------------------
+    # ---- stage 2+3: value/post checks over the frequency table -----------
     if n_rows == 0:
         # header-only input: no cells, so no value/post checks fire — the
         # report carries the variable checks and a 0 case count (the
         # reference would likewise have an empty frequency table)
         return report
-    freq = frequency_table(ds, variables, row_col=row_col)
     flagged = _flag_freq(freq, meta, config, empty_string_is_missing)
-    flagged = flagged.materialize()  # distinct-value table: small vs input
-
     stats = _per_variable_stats(flagged)
-    _post_checks(stats, flagged, meta, config, report, empty_string_is_missing)
+    _post_checks(stats, flagged, meta, config, report)
 
-    if not metadata_only:
+    if not config.metadata_only:
         _collect_locators(flagged, meta, config, report)
 
     return report
@@ -355,14 +402,13 @@ def health_check(
 
 
 def _flag_freq(
-    freq: "ray.data.Dataset",
+    freq: pa.Table,
     meta: TableMeta,
     config: Config,
     empty_is_missing: bool,
-) -> "ray.data.Dataset":
+) -> pa.Table:
     """Vectorized per-distinct-value flags: missing rank, label, odd chars,
-    label length, regex matches. One map_batches, zero-copy Arrow in."""
-    variables = {v.index: v for v in meta.variables}
+    label length, regex matches — appended to the frequency table."""
     text_vis = {v.index for v in meta.variables if v.type_ == "Text"}
     dm_by_vi = {
         v.index: meta.defined_missing.get(v.name, set()) for v in meta.variables
@@ -394,153 +440,142 @@ def _flag_freq(
 
     text_vi_arr = np.array(sorted(text_vis), dtype=np.int64)
 
-    def _flags(batch: pa.Table) -> pa.Table:
-        vi = np.asarray(K._as_array(batch["vi"]))
-        values = K._as_array(batch["value"])
-        vals_np = np.asarray(values, dtype=object)
-        n = len(batch)
+    vi = np.asarray(K._as_array(freq["vi"]))
+    values = K._as_array(freq["value"])
+    vals_np = np.asarray(values, dtype=object)
+    n = len(freq)
 
-        # label resolution (handler.rs:116-122): only variables that carry a
-        # label set contribute non-empty labels
-        labels = np.full(n, "", dtype=object)
-        for the_vi, lmap in labels_by_vi.items():
-            if lmap:
-                sel = vi == the_vi
-                if sel.any():
-                    labels[sel] = [lmap.get(x, "") for x in vals_np[sel]]
+    # label resolution (handler.rs:116-122): only variables that carry a
+    # label set contribute non-empty labels
+    labels = np.full(n, "", dtype=object)
+    for the_vi, lmap in labels_by_vi.items():
+        if lmap:
+            sel = vi == the_vi
+            if sel.any():
+                labels[sel] = [lmap.get(x, "") for x in vals_np[sel]]
 
-        # missingness per distinct value
-        rank = np.zeros(n, dtype=np.int8)
-        if empty_is_missing:
-            rank[vals_np == ""] = SYSTEM_MISSING
-        for the_vi, dm in dm_by_vi.items():
-            if dm:
-                sel = vi == the_vi
-                if sel.any():
-                    hit = np.array([v in dm for v in vals_np[sel]])
-                    sub = rank[sel]
-                    sub[hit] = DEFINED_MISSING
-                    rank[sel] = sub
-        # SPSS "lo THRU hi" ranges: parse the RENDERED numeric value back
-        # (empty/non-numeric renders never match a range)
-        for the_vi, ranges in dmr_by_vi.items():
-            if ranges:
-                sel = vi == the_vi
-                if sel.any():
-                    sub_vals = vals_np[sel]
-                    f = np.full(len(sub_vals), np.nan)
-                    for j, v in enumerate(sub_vals):
-                        try:
-                            f[j] = float(v)
-                        except (TypeError, ValueError):
-                            pass
-                    hit = np.zeros(len(sub_vals), dtype=bool)
-                    for lo, hi in ranges:
-                        hit |= (f >= lo) & (f <= hi)
-                    sub = rank[sel]
-                    sub[hit] = DEFINED_MISSING
-                    rank[sel] = sub
-        # tagged last: highest priority (handler.rs:104-114)
-        for the_vi, tm in tm_by_vi.items():
-            if tm:
-                sel = vi == the_vi
-                if sel.any():
-                    hit = np.array([v in tm for v in vals_np[sel]])
-                    sub = rank[sel]
-                    sub[hit] = TAGGED_MISSING
-                    rank[sel] = sub
+    # missingness per distinct value
+    rank = np.zeros(n, dtype=np.int8)
+    if empty_is_missing:
+        rank[vals_np == ""] = SYSTEM_MISSING
+    for the_vi, dm in dm_by_vi.items():
+        if dm:
+            sel = vi == the_vi
+            if sel.any():
+                hit = np.array([v in dm for v in vals_np[sel]])
+                sub = rank[sel]
+                sub[hit] = DEFINED_MISSING
+                rank[sel] = sub
+    # SPSS "lo THRU hi" ranges: parse the RENDERED numeric value back
+    # (empty/non-numeric renders never match a range)
+    for the_vi, ranges in dmr_by_vi.items():
+        if ranges:
+            sel = vi == the_vi
+            if sel.any():
+                sub_vals = vals_np[sel]
+                f = np.full(len(sub_vals), np.nan)
+                for j, v in enumerate(sub_vals):
+                    try:
+                        f[j] = float(v)
+                    except (TypeError, ValueError):
+                        pass
+                hit = np.zeros(len(sub_vals), dtype=bool)
+                for lo, hi in ranges:
+                    hit |= (f >= lo) & (f <= hi)
+                sub = rank[sel]
+                sub[hit] = DEFINED_MISSING
+                rank[sel] = sub
+    # tagged last: highest priority (handler.rs:104-114)
+    for the_vi, tm in tm_by_vi.items():
+        if tm:
+            sel = vi == the_vi
+            if sel.any():
+                hit = np.array([v in tm for v in vals_np[sel]])
+                sub = rank[sel]
+                sub[hit] = TAGGED_MISSING
+                rank[sel] = sub
 
-        is_text = np.isin(vi, text_vi_arr)
+    is_text = np.isin(vi, text_vi_arr)
 
-        cols = {
-            "vi": batch["vi"],
-            "value": batch["value"],
-            "n": batch["n"],
-            "first_row": batch["first_row"],
-            "missing": pa.array(rank),
-            "label": pa.array(labels, type=pa.string()),
-            "is_text": pa.array(is_text),
-        }
+    cols = {
+        "vi": freq["vi"],
+        "value": freq["value"],
+        "n": freq["n"],
+        "first_row": freq["first_row"],
+        "missing": pa.array(rank),
+        "label": pa.array(labels, type=pa.string()),
+        "is_text": pa.array(is_text),
+    }
 
-        # C11 StringValueOddCharacters: Str values only (post.rs:262-299)
-        if odd is not None:
-            hit = np.asarray(K._as_array(K.contains_any(values, odd)).fill_null(False))
-            cols["odd_fail"] = pa.array(hit & is_text)
-        # C7 ValueLabelMaxLength over the value's label (post.rs:132-166)
-        if vmax is not None:
-            lab_len = np.array([len(l.encode("utf-8")) for l in labels])
-            cols["label_len_fail"] = pa.array(lab_len > vmax)
-        # C15 ValueRegexPatterns: any pattern matches value OR label
-        # (post.rs:354-391). Vectorized RE2 match per pattern (the Rust
-        # regex crate is RE2-equivalent); Python `re` fallback for patterns
-        # RE2 can't compile. Patterns evaluated once per batch, not
-        # recompiled per value as in the reference (post.rs:370).
-        if regexes is not None:
-            hit = np.zeros(n, dtype=bool)
-            lab_arr = pa.array(labels, type=pa.string())
-            for rx in regexes:
-                try:
-                    hv = np.asarray(
-                        K._as_array(pc.match_substring_regex(values, rx.pattern)).fill_null(False)
-                    )
-                    hl = np.asarray(
-                        K._as_array(pc.match_substring_regex(lab_arr, rx.pattern)).fill_null(False)
-                    )
-                    hit |= hv | hl
-                except pa.ArrowInvalid:
-                    for i in range(n):
-                        if not hit[i] and (rx.search(vals_np[i]) or rx.search(labels[i])):
-                            hit[i] = True
-            cols["regex_fail"] = pa.array(hit)
-        return pa.table(cols)
-
-    return freq.map_batches(_flags, batch_format="pyarrow")
+    # C11 StringValueOddCharacters: Str values only (post.rs:262-299)
+    if odd is not None:
+        hit = np.asarray(K._as_array(K.contains_any(values, odd)).fill_null(False))
+        cols["odd_fail"] = pa.array(hit & is_text)
+    # C7 ValueLabelMaxLength over the value's label (post.rs:132-166)
+    if vmax is not None:
+        lab_len = np.array([len(l.encode("utf-8")) for l in labels])
+        cols["label_len_fail"] = pa.array(lab_len > vmax)
+    # C15 ValueRegexPatterns: any pattern matches value OR label
+    # (post.rs:354-391). Vectorized RE2 match per pattern (the Rust
+    # regex crate is RE2-equivalent); Python `re` fallback for patterns
+    # RE2 can't compile. Patterns evaluated once per table, not
+    # recompiled per value as in the reference (post.rs:370).
+    if regexes is not None:
+        hit = np.zeros(n, dtype=bool)
+        lab_arr = cols["label"]
+        for rx in regexes:
+            try:
+                hv = np.asarray(
+                    K._as_array(pc.match_substring_regex(values, rx.pattern)).fill_null(False)
+                )
+                hl = np.asarray(
+                    K._as_array(pc.match_substring_regex(lab_arr, rx.pattern)).fill_null(False)
+                )
+                hit |= hv | hl
+            except pa.ArrowInvalid:
+                for i in range(n):
+                    if not hit[i] and (rx.search(vals_np[i]) or rx.search(labels[i])):
+                        hit[i] = True
+        cols["regex_fail"] = pa.array(hit)
+    return pa.table(cols)
 
 
-def _per_variable_stats(flagged: "ray.data.Dataset"):
-    """Tiny per-variable aggregate over the flagged frequency table."""
+def _per_variable_stats(flagged: pa.Table) -> pd.DataFrame:
+    """Tiny per-variable aggregate over the flagged frequency table,
+    indexed and sorted by ``vi``."""
+    nn = np.asarray(K._as_array(flagged["n"]))
+    miss = np.asarray(K._as_array(flagged["missing"]))
+    no_label = np.asarray(K._as_array(pc.equal(flagged["label"], "")))
+    cols = {
+        "vi": flagged["vi"],
+        "n": nn,
+        "is_singleton": (nn == 1).astype(np.int64),
+        "sysmiss_n": np.where(miss == SYSTEM_MISSING, nn, 0),
+        "dm_nolabel_n": np.where((miss == DEFINED_MISSING) & no_label, nn, 0),
+    }
+    # (column, function, name in stats)
     aggs = [
-        Sum("n", alias_name="total_n"),
-        Count(alias_name="n_distinct"),
-        Min("n", alias_name="min_occ"),
-        Sum("is_singleton", alias_name="n_singleton"),
-        Sum("sysmiss_n", alias_name="sysmiss_n"),
-        Sum("dm_nolabel_n", alias_name="dm_nolabel_n"),
+        ("n", "sum", "total_n"),
+        ("n", "count", "n_distinct"),
+        ("n", "min", "min_occ"),
+        ("is_singleton", "sum", "n_singleton"),
+        ("sysmiss_n", "sum", "sysmiss_n"),
+        ("dm_nolabel_n", "sum", "dm_nolabel_n"),
     ]
-    names = flagged.schema().names
     for c in ("odd_fail", "label_len_fail", "regex_fail"):
-        if c in names:
-            aggs.append(Sum(c, alias_name=c + "s"))
-
-    def _derive(batch: pa.Table) -> pa.Table:
-        n = K._as_array(batch["n"])
-        miss = np.asarray(K._as_array(batch["missing"]))
-        nn = np.asarray(n)
-        return (
-            batch.append_column("is_singleton", pa.array((nn == 1).astype(np.int64)))
-            .append_column(
-                "sysmiss_n", pa.array(np.where(miss == SYSTEM_MISSING, nn, 0))
-            )
-            .append_column(
-                "dm_nolabel_n",
-                pa.array(
-                    np.where(
-                        (miss == DEFINED_MISSING)
-                        & (np.asarray(K._as_array(pc.equal(batch["label"], "")))),
-                        nn,
-                        0,
-                    )
-                ),
-            )
-        )
-
-    stats = (
-        flagged.map_batches(_derive, batch_format="pyarrow")
-        .groupby("vi")
-        .aggregate(*aggs)
-        .to_pandas()
+        if c in flagged.column_names:
+            cols[c] = pc.cast(flagged[c], pa.int64())
+            aggs.append((c, "sum", c + "s"))
+    g = (
+        pa.table(cols)
+        .group_by("vi")
+        .aggregate([(c, f) for c, f, _ in aggs])
+        .sort_by("vi")
     )
-    return stats.set_index("vi")
+    return pd.DataFrame(
+        {name: g[f"{c}_{f}"].to_numpy() for c, f, name in aggs},
+        index=pd.Index(g["vi"].to_numpy(), name="vi"),
+    )
 
 
 # -- driver-side checks over schema-sized metadata --------------------------
@@ -665,12 +700,11 @@ def _value_label_metadata_checks(meta: TableMeta, config: Config, report: Report
 
 
 def _post_checks(
-    stats,
-    flagged: "ray.data.Dataset",
+    stats: pd.DataFrame,
+    flagged: pa.Table,
     meta: TableMeta,
     config: Config,
     report: Report,
-    empty_is_missing: bool,
 ) -> None:
     variables = meta.variables
     by_vi = {v.index: v for v in variables}
@@ -794,66 +828,52 @@ def _post_checks(
 
     # C12 / C17 dictionary checks over distinct value *strings* of Text
     # variables (post.rs:205-226,420-443): global dedup by string.
-    for check, cfg_setting, predicate in (
-        (
-            "StringValueSpellcheck",
-            config.data_integrity.string_value_spellcheck,
-            "spell",
-        ),
-        (
-            "StringValueStopword",
-            config.disclosure_risk.string_value_stopword,
-            "stop",
-        ),
-    ):
-        if cfg_setting is None:
-            continue
-        words = K.load_wordlists(cfg_setting.setting)
-        category = "DataIntegrity" if check == "StringValueSpellcheck" else "DisclosureRisk"
-        st = report.ensure(check, cfg_setting.desc, category)
-
-        def _judge(batch: pa.Table, pred=predicate, w=words) -> pa.Table:
-            vals = batch["value"]
-            ok = (
-                K.spellcheck_ok(vals, w) if pred == "spell" else K.stopword_ok(vals, w)
-            )
-            return pa.table(
-                {
-                    "pass_": pa.array(ok.astype(np.int64)),
-                    "fail": pa.array((~ok).astype(np.int64)),
-                    "vi": batch["vi"],
-                    "first_row": batch["first_row"],
-                    "value": batch["value"],
-                }
-            )
-
-        distinct = (
-            flagged.filter(expr="is_text == True")
-            .groupby("value")
-            .aggregate(Min("vi", alias_name="vi"), Min("first_row", alias_name="first_row"))
+    dictionary_checks = [
+        c
+        for c in (
+            ("StringValueSpellcheck", config.data_integrity.string_value_spellcheck,
+             K.spellcheck_ok, "DataIntegrity"),
+            ("StringValueStopword", config.disclosure_risk.string_value_stopword,
+             K.stopword_ok, "DisclosureRisk"),
         )
-        judged = distinct.map_batches(_judge, batch_format="pyarrow").materialize()
-        st.pass_ += int(judged.sum("pass_") or 0)
-        n_fail = int(judged.sum("fail") or 0)
+        if c[1] is not None
+    ]
+    if dictionary_checks:
+        g = (
+            flagged.filter(pc.field("is_text"))
+            .group_by("value")
+            .aggregate([("vi", "min"), ("first_row", "min")])
+        )
+        distinct = pa.table(
+            {"value": g["value"], "vi": g["vi_min"], "first_row": g["first_row_min"]}
+        )
+    for check, setting, judge, category in dictionary_checks:
+        st = report.ensure(check, setting.desc, category)
+        ok = judge(distinct["value"], K.load_wordlists(setting.setting))
+        n_fail = int((~ok).sum())
+        st.pass_ += len(ok) - n_fail
         st.fail += n_fail
         if not mo and n_fail:
-            for r in (
-                judged.filter(expr="fail == 1")
-                .sort(["vi", "first_row"])
-                .limit(LOCATOR_CAP)
-                .take_all()
-            ):
-                v = by_vi[int(r["vi"])]
-                st.add_locator(v.name, v.index, int(r["first_row"]), mo)
+            for vi, first_row in _first_rows(distinct.filter(pa.array(~ok))):
+                v = by_vi[vi]
+                st.add_locator(v.name, v.index, first_row, mo)
+
+
+def _first_rows(fails: pa.Table) -> list[tuple[int, int]]:
+    """The LOCATOR_CAP smallest (vi, first_row) pairs of ``fails``."""
+    top = fails.sort_by([("vi", "ascending"), ("first_row", "ascending")]).slice(
+        0, LOCATOR_CAP
+    )
+    return list(zip(top["vi"].to_pylist(), top["first_row"].to_pylist()))
 
 
 def _collect_locators(
-    flagged: "ray.data.Dataset", meta: TableMeta, config: Config, report: Report
+    flagged: pa.Table, meta: TableMeta, config: Config, report: Report
 ) -> None:
     """Deterministic locator samples for the freq-table-driven checks:
     filter fails, sort by (vi, first_row), cap at LOCATOR_CAP."""
     by_vi = {v.index: v for v in meta.variables}
-    names = flagged.schema().names
+    names = flagged.column_names
     plans = []
     if "odd_fail" in names and "StringValueOddCharacters" in report.summary:
         plans.append(("StringValueOddCharacters", "odd_fail", True))
@@ -865,14 +885,6 @@ def _collect_locators(
         st = report.summary[check]
         if st.fail == 0:
             continue
-        rows = (
-            flagged.filter(expr=f"{col} == True")
-            .sort(["vi", "first_row"])
-            .limit(LOCATOR_CAP)
-            .take_all()
-        )
-        for r in rows:
-            v = by_vi[int(r["vi"])]
-            st.add_locator(
-                v.name, v.index, int(r["first_row"]) if with_row else -1, None
-            )
+        for vi, first_row in _first_rows(flagged.filter(pc.field(col))):
+            v = by_vi[vi]
+            st.add_locator(v.name, v.index, first_row if with_row else -1, None)

@@ -16,19 +16,13 @@ published algorithms (public knowledge only):
 
 Both are trained at construction time from the deterministic synthetic
 corpus (synth.clean_samples — fixed seed, no external data), so every
-actor in the pool builds byte-identical weights.
+worker builds byte-identical weights.
 
-These are the pipeline's ONLY stateful stages (SURVEY.md §7).  Two
-deployment modes:
-
-* plain tasks (the default via ``ModelScorers(lazy=True)``): the callable
-  carries only thresholds; models are built on first use in each worker
-  process and cached module-level (_SCORER_CACHE) — warm workers pay
-  nothing, no actor spin-up, elastic scaling;
-* classic actor pool (``map_batches(LangIdScorer,
-  fn_constructor_kwargs=..., concurrency=N)``): model built once per actor
-  in ``__init__`` — the right shape when construction must be eager or
-  the state cannot be rebuilt deterministically.
+These are the pipeline's ONLY stateful stages (SURVEY.md §7).  They run
+as plain tasks: the ``ModelScorers`` callable carries only thresholds; the
+models are built on first use in each worker process and cached
+module-level (_SCORER_CACHE) — warm workers pay nothing, no actor
+spin-up, elastic scaling.
 
 A module-level cache avoids re-training when several stages (or unit
 tests) construct the same model in one process.
@@ -277,34 +271,25 @@ class ModelScorers:
     """Fused scorer stage: langid + perplexity in ONE map_batches pass.
 
     Each sub-stage is config-gated — pass only the kwargs of the enabled
-    models (see :func:`from_config`).  See the module docstring for the
-    two deployment modes (lazy plain-task vs eager actor pool).
+    models (see :func:`from_config`).
     """
 
     def __init__(
         self,
         langid_kwargs: Optional[dict] = None,
         ppl_kwargs: Optional[dict] = None,
-        lazy: bool = True,
     ):
-        # ``lazy=True`` (the plain-task mode): the instance pickles per
-        # task carrying only these small kwargs; the models are built on
-        # first use IN the worker via the deterministic default()
-        # constructors and cached per worker process (_SCORER_CACHE), so
-        # warm workers pay nothing and there is no actor spin-up at all.
-        # (Broadcasting the trained weights through the object store was
-        # measured SLOWER here — fetching + localizing ~70 MB of tables
-        # costs ~5 s while re-training takes ~0.5 s.)
-        # ``lazy=False`` keeps the classic actor-pool behavior: models
-        # built eagerly in __init__, once per actor.
+        # the instance pickles per task carrying only these small kwargs;
+        # the models are built on first use IN the worker via the
+        # deterministic default() constructors and cached per worker
+        # process (_SCORER_CACHE), so warm workers pay nothing and there
+        # is no actor spin-up at all.  (Broadcasting the trained weights
+        # through the object store was measured SLOWER here — fetching +
+        # localizing ~70 MB of tables costs ~5 s while re-training takes
+        # ~0.5 s.)
         self.langid_kwargs = langid_kwargs
         self.ppl_kwargs = ppl_kwargs
         self._scorers: Optional[tuple] = None
-        if not lazy:
-            self._scorers = (
-                LangIdScorer(**langid_kwargs) if langid_kwargs is not None else None,
-                PerplexityScorer(**ppl_kwargs) if ppl_kwargs is not None else None,
-            )
 
     def _resolve(self) -> tuple:
         if self._scorers is not None:

@@ -130,7 +130,10 @@ def _row_keys(batch: pa.Table) -> list[str]:
 def _winner_map(df: pd.DataFrame) -> dict[str, str]:
     """{content_sha256 → lexicographic-min key} for every sha that occurs
     more than once in ``df`` (columns ``content_sha256``, ``key``) — one
-    vectorized pandas reduction, no per-group Python."""
+    vectorized pandas reduction, no per-group Python.  An empty ``df``
+    (a zero-row input collects to a frame without columns) has none."""
+    if df.empty:
+        return {}
     dups = df[df.duplicated("content_sha256", keep=False)]
     return dict(dups.groupby("content_sha256", sort=False)["key"].min().items())
 
@@ -393,6 +396,12 @@ def repo_report(
     partials = final.map_batches(_partials, batch_format="pyarrow")
     sum_cols = flags + ["n_rows"] + (["n_keep"] if keep_col else [])
     pdf = partials.to_pandas()
+    if pdf.empty:
+        # a zero-row input collects to a frame without columns
+        _check_rows("repo_report", 0, n_rows)
+        return pa.table(
+            {"repo": pa.array([], pa.string()), **{c: pa.array([], pa.int64()) for c in sum_cols}}
+        )
     _check_rows("repo_report", int(pdf["n_rows"].sum()), n_rows)
     rep = pdf.groupby("repo", sort=False)[sum_cols].sum().reset_index()
     return pa.Table.from_pandas(rep, preserve_index=False).sort_by("repo")
@@ -604,7 +613,7 @@ def run_checkpointed(
             )
             winners = duplicate_winners(proj)
             with open(winners_path + ".tmp", "w") as f:
-                json.dump(winners, f)
+                json.dump(winners, f, sort_keys=True)
             os.replace(winners_path + ".tmp", winners_path)
 
     # ---- phase 3: dup flag + scrub + keep, per shard ---------------------

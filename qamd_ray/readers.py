@@ -6,7 +6,7 @@ handler thread.  Here the pure-Python pandas parsers (public, bundled —
 ``pandas.io.stata.StataReader`` / ``pandas.read_sas``) play that role, and
 the result is re-expressed in this engine's model:
 
-* data → an Arrow table / Ray Dataset carrying the global row index
+* data → an Arrow table carrying the global row index
   (``sources.ROW_COL``), so the whole 16-check registry runs unchanged;
 * header metadata → :class:`healthcheck.TableMeta`: variable labels,
   value-label sets (keyed like the reference's label-set map,
@@ -27,24 +27,25 @@ the reference is string-rendering equality, src/model/anyvalue.rs:82-94):
   Value::TaggedMissing alongside numeric values.
 
 A ``.dta``/``.sas7bdat`` file is a single-machine artifact (the reference
-reads it fully in RAM; these parsers are not splittable), so one file is
-read in one task; many files parallelize per file.  For corpus-scale
-inputs convert to Parquet once and use :mod:`qamd_ray.sources`.
+reads it fully in RAM; these parsers are not splittable), so files are
+parsed in this process, one after another.  For corpus-scale inputs
+convert to Parquet once and use :mod:`qamd_ray.sources`.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-import ray.data
-
 from .healthcheck import TableMeta, VariableMeta
 from .sources import ROW_COL, _expand
+
+if TYPE_CHECKING:
+    import ray.data
 
 
 def _render_float(v: float) -> str:
@@ -291,7 +292,8 @@ def read_sav_file(path: str) -> tuple[pa.Table, TableMeta]:
     """
     import struct
 
-    buf = open(path, "rb").read()
+    with open(path, "rb") as f:
+        buf = f.read()
     if buf[:4] != b"$FL2":
         raise ValueError(f"{path}: not an SPSS system file (missing $FL2)")
     # byte order probe: layout_code is 2 (or 3) in the file's own order
@@ -703,7 +705,8 @@ def read_por_file(path: str) -> tuple[pa.Table, TableMeta]:
     must reproduce the SPSSPORT signature at its spec position or the
     reader fails LOUDLY; there is no silent mis-rendering path.
     """
-    raw_bytes = open(path, "rb").read()
+    with open(path, "rb") as f:
+        raw_bytes = f.read()
     text = sig_at = None
     for enc in ("latin-1", "cp037", "cp500", "cp875", "cp1026", "cp1140"):
         try:
@@ -880,18 +883,55 @@ _READERS = {
 }
 
 
-def read_stat_table(
+def _union_meta(meta: TableMeta, m: TableMeta, fi: int) -> None:
+    """Fold file ``fi``'s metadata ``m`` into the first file's ``meta``.
+
+    EVERY missing-declaration / label dictionary is unioned — dropping
+    declarations from later files would silently change DEFINED_MISSING
+    ranks and C9 results, not just cosmetics.
+    """
+    for name, tags in m.tagged_missing.items():
+        meta.tagged_missing.setdefault(name, set()).update(tags)
+    for name, vals in m.defined_missing.items():
+        meta.defined_missing.setdefault(name, set()).update(vals)
+    for name, ranges in m.defined_missing_ranges.items():
+        have = meta.defined_missing_ranges.setdefault(name, [])
+        for r in ranges:
+            if r not in have:
+                have.append(r)
+    # label-set keys ("ls0"…) are generated per file and collide across
+    # files; walk variable→key so labels land on the right set.  First
+    # file wins per value on conflicts; a variable unlabelled in the
+    # first file adopts the later file's set under a remapped key.
+    var_by_name = {v.name: v for v in meta.variables}
+    for var in m.variables:
+        if not var.value_labels:
+            continue
+        labels = m.value_labels.get(var.value_labels, {})
+        tgt_var = var_by_name.get(var.name)
+        if tgt_var is None:
+            continue
+        if not tgt_var.value_labels:
+            tgt_var.value_labels = f"f{fi}_{var.value_labels}"
+        tgt = meta.value_labels.setdefault(tgt_var.value_labels, {})
+        for v, lbl in labels.items():
+            tgt.setdefault(v, lbl)
+
+
+def iter_stat_tables(
     paths: str | Sequence[str],
-) -> tuple["ray.data.Dataset", TableMeta]:
-    """Extension dispatch for statistical formats (read.rs:21-39): one
-    Ray task parses each file (these formats are not splittable, so the
-    file is the parallel unit) and its Arrow table STAYS in the object
-    store (``from_arrow_refs`` — the driver holds only per-file metadata,
-    never the data).  Header metadata (names/labels) comes from the FIRST
-    sorted file; missing declarations (tagged/defined/ranges) and value
-    labels UNION across files (first file wins on label conflicts); row
-    indices are global in file order.
-    Single-file inputs skip the task round-trip."""
+) -> tuple[TableMeta, Iterator[pa.Table]]:
+    """Extension dispatch for statistical formats (read.rs:21-39), parsed
+    in this process one file after another.
+
+    Returns the header metadata of the FIRST sorted file (names, labels)
+    and an iterator over every file's Arrow table, with row indices global
+    in file order.  The first file is parsed here, so a bad input fails
+    now; each later file is parsed when the iterator reaches it, and its
+    missing declarations (tagged/defined/ranges) and value labels are then
+    unioned into the returned metadata (first file wins on label
+    conflicts).  The metadata is complete once the iterator is exhausted.
+    """
     files = _expand(paths)
     if not files:
         raise FileNotFoundError(f"no input files under {paths!r}")
@@ -901,69 +941,32 @@ def read_stat_table(
             f"unsupported statistical input extension(s) {sorted(exts)}; "
             f"expected one of {sorted(_READERS)}"
         )
-    ext = next(iter(exts))
+    read = _READERS[next(iter(exts))]
+    first, meta = read(files[0])
 
-    if len(files) == 1:
-        t, meta = _READERS[ext](files[0])
-        return ray.data.from_arrow(t), meta
+    def tables(t: pa.Table) -> Iterator[pa.Table]:
+        offset = 0
+        for fi, path in enumerate(files):
+            if fi:
+                t, m = read(path)
+                _union_meta(meta, m, fi)
+                t = t.set_column(
+                    t.schema.get_field_index(ROW_COL),
+                    ROW_COL,
+                    pa.array(np.arange(offset, offset + len(t), dtype=np.int64)),
+                )
+            offset += len(t)
+            yield t
 
-    import ray as _ray
+    return meta, tables(first)
 
-    @_ray.remote(num_returns=2)
-    def _parse(path: str, ext: str):
-        t, m = _READERS[ext](path)
-        return t, (len(t), m)
 
-    t_refs: list = []
-    info_refs: list = []
-    for f in files:
-        t_ref, info_ref = _parse.remote(f, ext)
-        t_refs.append(t_ref)
-        info_refs.append(info_ref)
-    infos = _ray.get(info_refs)  # (n_rows, meta) per file — small
-    meta = infos[0][1]
-    var_by_name = {v.name: v for v in meta.variables}
-    for fi, (_n, m) in enumerate(infos[1:], start=1):
-        # union EVERY missing-declaration / label dictionary across files —
-        # dropping declarations from later files would silently change
-        # DEFINED_MISSING ranks and C9 results, not just cosmetics
-        for name, tags in m.tagged_missing.items():
-            meta.tagged_missing.setdefault(name, set()).update(tags)
-        for name, vals in m.defined_missing.items():
-            meta.defined_missing.setdefault(name, set()).update(vals)
-        for name, ranges in m.defined_missing_ranges.items():
-            have = meta.defined_missing_ranges.setdefault(name, [])
-            for r in ranges:
-                if r not in have:
-                    have.append(r)
-        # label-set keys ("ls0"…) are generated per file and collide across
-        # files; walk variable→key so labels land on the right set.  First
-        # file wins per value on conflicts; a variable unlabelled in the
-        # first file adopts the later file's set under a remapped key.
-        for var in m.variables:
-            if not var.value_labels:
-                continue
-            labels = m.value_labels.get(var.value_labels, {})
-            tgt_var = var_by_name.get(var.name)
-            if tgt_var is None:
-                continue
-            if not tgt_var.value_labels:
-                tgt_var.value_labels = f"f{fi}_{var.value_labels}"
-            tgt = meta.value_labels.setdefault(tgt_var.value_labels, {})
-            for v, lbl in labels.items():
-                tgt.setdefault(v, lbl)
-    offsets = np.concatenate([[0], np.cumsum([n for n, _ in infos])[:-1]])
+def read_stat_table(
+    paths: str | Sequence[str],
+) -> tuple["ray.data.Dataset", TableMeta]:
+    """:func:`iter_stat_tables` collected into a Dataset (one block per
+    file), with the complete metadata."""
+    import ray.data
 
-    @_ray.remote
-    def _shift(t: pa.Table, offset: int) -> pa.Table:
-        return t.set_column(
-            t.schema.get_field_index(ROW_COL),
-            ROW_COL,
-            pa.array(np.arange(offset, offset + len(t), dtype=np.int64)),
-        )
-
-    shifted = [
-        t_ref if off == 0 else _shift.remote(t_ref, int(off))
-        for t_ref, off in zip(t_refs, offsets)
-    ]
-    return ray.data.from_arrow_refs(shifted), meta
+    meta, tables = iter_stat_tables(paths)
+    return ray.data.from_arrow(list(tables)), meta

@@ -1,26 +1,27 @@
 """Sources: Parquet readers for the engine.
 
-``read_parquet_with_row_index`` replaces the reference's push-streaming
-readers (src/readstat/read.rs:21-39 dispatch; csv/read.rs:23-187): the
-reference assigns each cell a row number as the file streams through one
-thread. Distributed, the same provenance is recovered deterministically by
-mapping Parquet row groups to global row offsets from file metadata, then
-reading one row group per task — no ordering assumption on block delivery,
-arbitrarily many files, no driver-side data movement.
+``read_parquet_with_row_index`` and ``read_row_group`` replace the
+reference's push-streaming readers (src/readstat/read.rs:21-39 dispatch;
+csv/read.rs:23-187): the reference assigns each cell a row number as the
+file streams through one thread. Here the same provenance is recovered
+deterministically by mapping Parquet row groups to global row offsets from
+file metadata, then reading one row group at a time — in a Ray task per
+row group (``read_parquet_with_row_index``, no ordering assumption on block
+delivery) or in this process (``read_row_group``).
 """
 
 from __future__ import annotations
 
 import glob
 import os
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-import ray
-import ray.data
+if TYPE_CHECKING:
+    import ray.data
 
 ROW_COL = "__row__"
 
@@ -64,6 +65,13 @@ def row_group_tasks(paths: str | Sequence[str]) -> list[dict]:
     return tasks
 
 
+def read_row_group(task: dict, columns: Optional[list[str]], row_col: str) -> pa.Table:
+    """One row group of a :func:`row_group_tasks` task, with its global row index."""
+    tbl = pq.ParquetFile(task["path"]).read_row_group(task["row_group"], columns=columns)
+    idx = pa.array(np.arange(task["offset"], task["offset"] + len(tbl), dtype=np.int64))
+    return tbl.append_column(row_col, idx)
+
+
 def read_parquet_with_row_index(
     paths: str | Sequence[str],
     columns: Optional[list[str]] = None,
@@ -75,20 +83,16 @@ def read_parquet_with_row_index(
     Each task reads exactly one row group — bounded memory, scales with
     row-group count, resumable at row-group granularity.
     """
+    import ray.data
+
     tasks = row_group_tasks(paths)
     if not tasks:
         raise FileNotFoundError(f"no parquet files under {paths!r}")
 
     def _read(batch: pa.Table) -> pa.Table:
-        out = []
-        for task in batch.to_pylist():
-            pf = pq.ParquetFile(task["path"])
-            tbl = pf.read_row_group(task["row_group"], columns=columns)
-            idx = pa.array(
-                np.arange(task["offset"], task["offset"] + len(tbl), dtype=np.int64)
-            )
-            out.append(tbl.append_column(row_col, idx))
-        return pa.concat_tables(out)
+        return pa.concat_tables(
+            [read_row_group(task, columns, row_col) for task in batch.to_pylist()]
+        )
 
     # one BLOCK per task: from_items defaults to a single block, which
     # would make the whole read (and everything fused onto it) run in one
@@ -96,7 +100,3 @@ def read_parquet_with_row_index(
     return ray.data.from_items(tasks, override_num_blocks=len(tasks)).map_batches(
         _read, batch_size=1, batch_format="pyarrow"
     )
-
-
-def total_rows(paths: str | Sequence[str]) -> int:
-    return sum(t["num_rows"] for t in row_group_tasks(paths))

@@ -2,6 +2,9 @@
 (src/bin/qamd.rs parity — run / check / gen-config)."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pandas as pd
@@ -36,6 +39,38 @@ def test_cli_check_dta(tmp_path, ray_session, capsys):
     assert main(["check", src, "-o", out]) == 0
     rep = json.load(open(out))
     assert rep["metadata"]["raw_case_count"] == 2
+
+
+def test_cli_check_starts_no_ray(tmp_path):
+    """``check`` and ``health_check`` run in this process: no Ray session
+    is started (a fresh interpreter, so no test fixture's session counts),
+    and the CLI JSON is the API's report."""
+    from qamd_ray.gen_config import default_config
+    from qamd_ray.healthcheck import health_check
+
+    src = str(tmp_path / "t.dta")
+    pd.DataFrame(
+        {"age": np.array([30.0, 40.0, 30.0], dtype="float64"), "name": ["a", "b", ""]}
+    ).to_stata(src, write_index=False, version=117)
+    out = str(tmp_path / "report.json")
+    code = (
+        "import sys, ray\n"
+        "from qamd_ray.cli import main\n"
+        "from qamd_ray.gen_config import default_config\n"
+        "from qamd_ray.healthcheck import health_check\n"
+        "health_check(sys.argv[1], default_config())\n"
+        "rc = main(['check', sys.argv[1], '-o', sys.argv[2]])\n"
+        "print(rc, ray.is_initialized())\n"
+    )
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    r = subprocess.run(
+        [sys.executable, "-c", code, src, out],
+        cwd=root, capture_output=True, text=True, timeout=120,
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == ["0", "False"]
+    with open(out) as f:
+        assert f.read() == health_check(src, default_config()).to_json(indent=2)
 
 
 def test_cli_run_pipeline(tmp_path, ray_session, capsys):

@@ -1,13 +1,13 @@
-"""Conformance tests for the distributed health check.
+"""Conformance tests for the health check.
 
 Every expected (pass, fail) pair below is ported from the reference's own
 unit tests over its canonical 4-variable / 10-case fixture Context
 (/root/reference/src/check/post.rs:459-598 fixture; expectations at
 post.rs:600-858). The fixture is reproduced as a Parquet table + sidecar
-TableMeta, and the distributed pipeline must land on the identical counts.
+TableMeta, and the health check must land on the identical counts.
 
 The reference tests each check in isolation; checks are independent, so one
-combined run asserts them all (one Ray pipeline instead of twelve).
+combined run asserts them all (one health check instead of twelve).
 """
 
 import os
@@ -18,6 +18,7 @@ import pytest
 
 from qamd_ray.config import Config
 from qamd_ray.healthcheck import TableMeta, VariableMeta, health_check
+from qamd_ray.sources import ROW_COL
 
 WORDS = os.path.join(os.path.dirname(__file__), "fixtures", "words.txt")
 STOPWORDS = os.path.join(os.path.dirname(__file__), "fixtures", "stopwords.txt")
@@ -324,3 +325,57 @@ def test_locator_table_html_golden():
     assert capped.count("<tr class='locator'>") == 1000
     assert "<td scope='row'>1000</td>" in capped
     assert "<td scope='row'>1001</td>" not in capped
+
+
+# --- inputs streamed into the one frequency table ---------------------------
+
+
+def test_row_groups_give_the_same_report(tmp_path, fixture_path):
+    """Parquet streams one row group at a time; the report must not see
+    the row-group boundaries."""
+    many = str(tmp_path / "rg.parquet")
+    pq.write_table(_fixture_table(), many, row_group_size=3)
+    assert pq.ParquetFile(many).metadata.num_row_groups == 4
+    cfg = Config.from_dict(FULL_CONFIG)
+    want = health_check(fixture_path, cfg, meta=_meta()).to_json(indent=2)
+    assert health_check(many, cfg, meta=_meta()).to_json(indent=2) == want
+
+
+def _with_rows(t: pa.Table) -> pa.Table:
+    return t.append_column(ROW_COL, pa.array(range(t.num_rows), pa.int64()))
+
+
+def test_dataset_source_gives_the_same_report(fixture_path, ray_session):
+    import ray.data
+
+    t = _with_rows(_fixture_table())
+    ds = ray.data.from_arrow([t.slice(0, 4), t.slice(4)])
+    cfg = Config.from_dict(FULL_CONFIG)
+    want = health_check(fixture_path, cfg, meta=_meta()).to_json(indent=2)
+    assert health_check(ds, cfg, meta=_meta()).to_json(indent=2) == want
+
+
+@pytest.mark.parametrize("kind", ["parquet", "dataset"])
+def test_zero_row_input_gives_variable_checks_only(tmp_path, report, ray_session, kind):
+    """No cells: the report carries the variable and label-set checks,
+    unchanged, and a 0 case count — no value check runs."""
+    import ray.data
+
+    empty = _fixture_table().slice(0, 0)
+    if kind == "parquet":
+        source = str(tmp_path / "empty.parquet")
+        pq.write_table(empty, source)
+    else:
+        source = ray.data.from_arrow(_with_rows(empty))
+    rep = health_check(source, Config.from_dict(FULL_CONFIG), meta=_meta())
+    assert rep.metadata.raw_case_count == 0
+    assert set(rep.summary) == {
+        "MissingVariableLabels",
+        "VariableLabelMaxLength",
+        "VariableOddCharacters",
+        "ValueLabelOddCharacters",
+        "ValueLabelSpellcheck",
+        "VariableLabelSpellcheck",
+    }
+    for name, st in rep.summary.items():
+        assert st.to_dict() == report.summary[name].to_dict()

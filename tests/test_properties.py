@@ -1,6 +1,7 @@
 """Property-based tests (hypothesis): the vectorized kernels must agree
-with their scalar twins on arbitrary input, and the scrubber must be
-byte-preserving and idempotent.  These are the load-bearing invariants
+with their scalar twins on arbitrary input, the scrubber must be
+byte-preserving and idempotent, and the frequency table must not depend
+on how its input is split into batches.  These are the load-bearing invariants
 behind the F1 gate — a vectorization bug on either side shows up here
 before it shows up as an F1 miss."""
 
@@ -13,9 +14,11 @@ from hypothesis import strategies as st
 from qamd_ray import kernels as K
 from qamd_ray.config import Config
 from qamd_ray.gen_config import quality_config
+from qamd_ray.healthcheck import build_frequency_table, variables_from_schema
 from qamd_ray.oracle import oracle_labels
 from qamd_ray.rules import RowRules, keep_expression
 from qamd_ray.scrub import Scrubber
+from qamd_ray.sources import ROW_COL
 
 # printable-ish text incl. newlines, tabs, some non-ASCII and controls
 TEXT = st.text(
@@ -148,3 +151,67 @@ def test_dictionary_kernels_match_scalar(texts):
         want_st = norm == "" or not K.only_contains(norm, words)
         assert sp == want_sp, repr(t)
         assert stw == want_st, repr(t)
+
+
+# --- the in-process frequency table -----------------------------------------
+
+
+def _render_scalar(v) -> str:
+    """Scalar twin of ``kernels.render_values`` for int/float/str cells."""
+    if v is None:
+        return ""
+    if isinstance(v, float):
+        return f"{int(v)}.0" if v == int(v) and abs(v) < 1e16 else repr(v)
+    return str(v)
+
+
+@st.composite
+def freq_inputs(draw):
+    n = draw(st.integers(0, 40))
+    cells = {
+        "i": (pa.int64(), st.one_of(st.none(), st.integers(-3, 3))),
+        "f": (pa.float64(), st.one_of(st.none(), st.sampled_from([0.0, 1.0, -2.5, 0.1, 1e20]))),
+        "s": (pa.string(), st.one_of(st.none(), st.sampled_from(["", "a", "b", "a b"]))),
+    }
+    cols = {
+        name: pa.array([draw(strat) for _ in range(n)], typ)
+        for name, (typ, strat) in cells.items()
+    }
+    # global row indices in any order, so "first" is not simply position
+    cols[ROW_COL] = pa.array(draw(st.permutations(range(n))), pa.int64())
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=5)))
+    return pa.table(cols), cuts
+
+
+def _rows(freq: pa.Table) -> list[tuple]:
+    return sorted(
+        zip(*(freq[c].to_pylist() for c in ("vi", "value", "n", "first_row")))
+    )
+
+
+@given(freq_inputs())
+@settings(max_examples=60, deadline=None)
+def test_frequency_table_batches_match_single_and_oracle(inp):
+    """Any split of the input into batches gives the frequency table of the
+    whole table, and both equal a pandas oracle: per (variable, rendered
+    value), the count and the minimum row index."""
+    import pandas as pd
+
+    table, cuts = inp
+    variables = variables_from_schema(table.schema)
+    bounds = [0, *cuts, table.num_rows]
+    batches = [table.slice(a, b - a) for a, b in zip(bounds, bounds[1:])]
+
+    one, n_one = build_frequency_table([table], variables)
+    many, n_many = build_frequency_table(batches, variables)
+    assert n_one == n_many == table.num_rows
+
+    oracle = []
+    rows = table[ROW_COL].to_pylist()
+    for v in variables:
+        df = pd.DataFrame(
+            {"value": [_render_scalar(x) for x in table[v.name].to_pylist()], "row": rows}
+        )
+        for value, g in df.groupby("value"):
+            oracle.append((v.index, value, len(g), int(g["row"].min())))
+    assert _rows(one) == _rows(many) == sorted(oracle)

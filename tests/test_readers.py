@@ -245,8 +245,8 @@ def test_read_por_roundtrip(tmp_path):
 
 
 def test_read_stat_table_multi_file(tmp_path, ray_session):
-    """Multi-file inputs parse in Ray tasks (tables stay in the object
-    store) with global row indices in sorted-file order."""
+    """Multi-file inputs parse one file after another, with global row
+    indices in sorted-file order."""
     for i in range(3):
         pd.DataFrame(
             {"x": np.array([i * 10.0, i * 10.0 + 1], dtype="float64")}
