@@ -238,9 +238,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.cmd == "run":
         _init_ray(disable_progress=args.disable_progress)
         from .pipeline import run_checkpointed
-        from .tuning import tune_read_parallelism
 
-        tune_read_parallelism()
         out_dir = args.output or (args.input.rstrip("/") + ".qamd_out")
         rep = run_checkpointed(args.input, out_dir, cfg, num_shards=args.num_shards)
         if args.output_format == "html":

@@ -216,25 +216,3 @@ class Config:
         ]:
             if s is not None and int(s.setting) <= 0:
                 raise ValueError(f"{what}: length must be positive")
-
-    # -- lookups used by the dictionary checks (src/config.rs:42-60) -------
-
-    def dictionaries_for(self, check_name: str) -> list[str]:
-        mapping = {
-            "VariableLabelSpellcheck": self.metadata.variable_label_spellcheck,
-            "ValueLabelSpellcheck": self.metadata.value_label_spellcheck,
-            "StringValueSpellcheck": self.data_integrity.string_value_spellcheck,
-            "StringValueStopword": self.disclosure_risk.string_value_stopword,
-        }
-        s = mapping.get(check_name)
-        return list(s.setting) if s is not None else []
-
-    def desc_for(self, check_name: str) -> str:
-        mapping = {
-            "VariableLabelSpellcheck": self.metadata.variable_label_spellcheck,
-            "ValueLabelSpellcheck": self.metadata.value_label_spellcheck,
-            "StringValueSpellcheck": self.data_integrity.string_value_spellcheck,
-            "StringValueStopword": self.disclosure_risk.string_value_stopword,
-        }
-        s = mapping.get(check_name)
-        return s.desc if s is not None else ""

@@ -1,7 +1,7 @@
 """Default / generated config emitters.
 
 ``default_yaml()`` mirrors /root/reference/default.yaml (same keys, same
-defaults); ``generated_config()`` mirrors the fully-populated config of
+defaults); ``generated_yaml()`` mirrors the fully-populated config of
 /root/reference/src/bin/gen_config.rs:6-86 including its production regex
 bank (simple email, UK postcode, RFC-2822 email — gen_config.rs:16-20).
 
@@ -34,7 +34,6 @@ REGEX_EMAIL_RFC2822 = (
     r"|(\[(([\x01-\x08\x0B\x0C\x0E-\x1F\x7F]|[\x21-\x5A\x5E-\x7E])"
     r"|(\\[\x01-\x09\x0B\x0C\x0E-\x7F]))*\])))"
 )
-REGEX_UK_MOBILE = r"^(\+44\s?7\d{3}|\(?07\d{3}\)?)\s?\d{3}\s?\d{3}$"  # default.yaml:151
 
 
 def _default_dict() -> dict:
@@ -202,10 +201,6 @@ def generated_yaml() -> str:
 
 def default_config() -> Config:
     return Config.from_dict(_default_dict())
-
-
-def generated_config() -> Config:
-    return Config.from_dict(_generated_dict())
 
 
 if __name__ == "__main__":

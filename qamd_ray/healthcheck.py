@@ -38,6 +38,7 @@ Exact semantic quirks preserved (SURVEY.md §7 "what's hard"):
 from __future__ import annotations
 
 import itertools
+import os
 import re
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
@@ -51,7 +52,7 @@ import pyarrow.parquet as pq
 from .config import Config
 from . import kernels as K
 from .report import LOCATOR_CAP, Report, ReportMetadata
-from .sources import ROW_COL
+from .sources import ROW_COL, _expand, read_row_group, row_group_tasks
 
 if TYPE_CHECKING:
     import ray.data
@@ -107,42 +108,20 @@ class TableMeta:
     creation_time: Optional[str] = None
     modified_time: Optional[str] = None
 
-    def label_for(self, var: VariableMeta, value: str) -> str:
-        """Per-cell label resolution (handler.rs:116-122): missing key ⇒ ''."""
-        return self.value_labels.get(var.value_labels, {}).get(value, "")
 
-
-def variables_from_schema(
-    schema: pa.Schema,
-    *,
-    variable_labels: Optional[dict[str, str]] = None,
-    value_formats: Optional[dict[str, str]] = None,
-    value_label_keys: Optional[dict[str, str]] = None,
-    row_col: str = ROW_COL,
-) -> list[VariableMeta]:
-    """Schema → variables; string columns are Text, everything else Numeric
-    (src/model/variable.rs:85-95; CSV columns always Text, csv/read.rs:84-91).
+def variables_from_schema(schema: pa.Schema) -> list[VariableMeta]:
+    """Schema → unlabelled variables, skipping ``ROW_COL``; string columns
+    are Text, everything else Numeric (src/model/variable.rs:85-95; CSV
+    columns always Text, csv/read.rs:84-91).
     """
-    variable_labels = variable_labels or {}
-    value_formats = value_formats or {}
-    value_label_keys = value_label_keys or {}
     out = []
-    i = 0
     for f in schema:
-        if f.name == row_col:
+        if f.name == ROW_COL:
             continue
         is_text = pa.types.is_string(f.type) or pa.types.is_large_string(f.type)
         out.append(
-            VariableMeta(
-                index=i,
-                name=f.name,
-                label=variable_labels.get(f.name, ""),
-                type_="Text" if is_text else "Numeric",
-                value_format=value_formats.get(f.name, ""),
-                value_labels=value_label_keys.get(f.name, ""),
-            )
+            VariableMeta(index=len(out), name=f.name, type_="Text" if is_text else "Numeric")
         )
-        i += 1
     return out
 
 
@@ -155,12 +134,10 @@ FREQ_SCHEMA = pa.schema(
 )
 
 
-def _partials(
-    batch: pa.Table, variables: Sequence[VariableMeta], row_col: str
-) -> pa.Table:
+def _partials(batch: pa.Table, variables: Sequence[VariableMeta]) -> pa.Table:
     """(vi, value, n, first_row) of one table: a hash group-by per variable
     over the rendered values."""
-    rows = K._as_array(batch[row_col])
+    rows = K._as_array(batch[ROW_COL])
     pieces = []
     for v in variables:
         t = pa.table(
@@ -190,7 +167,6 @@ def _merge(parts: list[pa.Table]) -> pa.Table:
 def build_frequency_table(
     tables: Iterable[pa.Table],
     variables: Sequence[VariableMeta],
-    row_col: str = ROW_COL,
 ) -> tuple[pa.Table, int]:
     """Distinct-value histogram per variable: (vi, value, n, first_row),
     and the number of rows read.
@@ -210,7 +186,7 @@ def build_frequency_table(
         n_rows += batch.num_rows
         if batch.num_rows == 0:
             continue
-        part = _partials(batch, variables, row_col)
+        part = _partials(batch, variables)
         pending.append(part)
         pending_rows += part.num_rows
         if pending_rows >= (0 if freq is None else freq.num_rows):
@@ -224,13 +200,12 @@ def build_frequency_table(
 def frequency_table(
     ds: "ray.data.Dataset",
     variables: Sequence[VariableMeta],
-    row_col: str = ROW_COL,
 ) -> "ray.data.Dataset":
     """:func:`build_frequency_table` over a Dataset's blocks, as a Dataset."""
     import ray.data
 
     freq, _ = build_frequency_table(
-        ds.iter_batches(batch_size=None, batch_format="pyarrow"), variables, row_col
+        ds.iter_batches(batch_size=None, batch_format="pyarrow"), variables
     )
     return ray.data.from_arrow(freq)
 
@@ -240,30 +215,7 @@ def frequency_table(
 # ---------------------------------------------------------------------------
 
 
-def _missing_rank_for(
-    values: pa.Array,
-    dm_set: set[str],
-    empty_is_missing: bool,
-    tm_set: Optional[set[str]] = None,
-) -> np.ndarray:
-    """Missingness from the rendered value (nulls already render "").
-
-    Priority: defined > system (handler.rs:104-114); empty string ⇒
-    SYSTEM_MISSING matches the CSV reader rule (csv/read.rs:112-115) and is
-    how nulls surface after rendering.
-    """
-    vals = np.asarray(values, dtype=object)
-    rank = np.zeros(len(vals), dtype=np.int8)
-    if empty_is_missing:
-        rank[vals == ""] = SYSTEM_MISSING
-    if dm_set:
-        rank[pd.Index(vals).isin(dm_set)] = DEFINED_MISSING
-    if tm_set:
-        rank[pd.Index(vals).isin(tm_set)] = TAGGED_MISSING
-    return rank
-
-
-def _read_csv(paths: Sequence[str], row_col: str) -> pa.Table:
+def _read_csv(paths: Sequence[str]) -> pa.Table:
     """CSV files → one table (reference csv/read.rs loads the whole file in
     memory — twice; we load once): every column a string (CSV columns are
     always Text, csv/read.rs:84-91), empty cells ⇒ null
@@ -295,7 +247,7 @@ def _read_csv(paths: Sequence[str], row_col: str) -> pa.Table:
             ),
         )
         t = t.append_column(
-            row_col, pa.array(np.arange(offset, offset + len(t), dtype=np.int64))
+            ROW_COL, pa.array(np.arange(offset, offset + len(t), dtype=np.int64))
         )
         offset += len(t)
         tables.append(t)
@@ -307,43 +259,42 @@ def health_check(
     config: Config,
     *,
     meta: Optional[TableMeta] = None,
-    empty_string_is_missing: bool = True,
-    row_col: str = ROW_COL,
 ) -> Report:
     """Run the full 16-check registry over a table; returns the Report.
 
-    ``source``: statistical, CSV or Parquet path(s) (read with global row
-    indices), or an existing Dataset that already carries ``row_col``.
-    Everything runs in this process: inputs stream table by table into
-    one frequency table (:func:`build_frequency_table`).
+    ``source``: statistical, CSV or Parquet file(s), directories or globs
+    (read with global row indices; the extension of the first expanded
+    file picks the reader), or an existing Dataset that already carries
+    ``ROW_COL``.  Everything runs in this process: inputs stream table by
+    table into one frequency table (:func:`build_frequency_table`).
     """
     if isinstance(source, (str, list, tuple)):
         first = str(source if isinstance(source, str) else source[0])
         default_name = first.split("/")[-1]
-        if first.lower().endswith((".dta", ".sav", ".por", ".sas7bdat", ".xpt")):
+        files = _expand(source)
+        ext = os.path.splitext(files[0])[1].lower() if files else ""
+        if ext in (".dta", ".sav", ".por", ".sas7bdat", ".xpt"):
             # statistical formats: full dispatch incl. header metadata
             # (labels, value labels, tagged missing) — read.rs:21-39
             from .readers import iter_stat_tables
 
-            file_meta, tables = iter_stat_tables(source)
+            file_meta, tables = iter_stat_tables(files)
             if meta is None:
                 meta = file_meta
             head = next(tables)  # parsed already; its schema names the columns
             schema = head.schema
             tables = itertools.chain([head], tables)
-        elif first.lower().endswith(".csv"):
-            full = _read_csv([source] if isinstance(source, str) else list(source), row_col)
+        elif ext == ".csv":
+            full = _read_csv(files)
             tables = [full]
             schema = full.schema
         else:
             # one row group at a time: memory follows distinct values
-            from .sources import read_row_group, row_group_tasks
-
-            tasks = row_group_tasks(source)
+            tasks = row_group_tasks(files)
             if not tasks:
                 raise FileNotFoundError(f"no parquet files under {source!r}")
             schema = pq.ParquetFile(tasks[0]["path"]).schema_arrow
-            tables = (read_row_group(t, None, row_col) for t in tasks)
+            tables = (read_row_group(t, None) for t in tasks)
     else:
         ds_schema = source.schema()
         schema = pa.schema(list(zip(ds_schema.names, ds_schema.types)))
@@ -352,12 +303,12 @@ def health_check(
 
     meta = meta or TableMeta()
     if not meta.variables:
-        meta.variables = variables_from_schema(schema, row_col=row_col)
+        meta.variables = variables_from_schema(schema)
     if not meta.file_name:
         meta.file_name = default_name
     variables = meta.variables
     # reading every table completes a multi-file statistical input's meta
-    freq, n_rows = build_frequency_table(tables, variables, row_col=row_col)
+    freq, n_rows = build_frequency_table(tables, variables)
 
     report = Report(
         metadata=ReportMetadata(
@@ -388,7 +339,7 @@ def health_check(
         # report carries the variable checks and a 0 case count (the
         # reference would likewise have an empty frequency table)
         return report
-    flagged = _flag_freq(freq, meta, config, empty_string_is_missing)
+    flagged = _flag_freq(freq, meta, config)
     stats = _per_variable_stats(flagged)
     _post_checks(stats, flagged, meta, config, report)
 
@@ -401,12 +352,7 @@ def health_check(
 # -- flag computation over the frequency table ------------------------------
 
 
-def _flag_freq(
-    freq: pa.Table,
-    meta: TableMeta,
-    config: Config,
-    empty_is_missing: bool,
-) -> pa.Table:
+def _flag_freq(freq: pa.Table, meta: TableMeta, config: Config) -> pa.Table:
     """Vectorized per-distinct-value flags: missing rank, label, odd chars,
     label length, regex matches — appended to the frequency table."""
     text_vis = {v.index for v in meta.variables if v.type_ == "Text"}
@@ -454,10 +400,12 @@ def _flag_freq(
             if sel.any():
                 labels[sel] = [lmap.get(x, "") for x in vals_np[sel]]
 
-    # missingness per distinct value
+    # missingness per distinct value; priority tagged > defined > system
+    # (handler.rs:104-114).  An empty rendering is SYSTEM_MISSING: the CSV
+    # reader rule (csv/read.rs:112-115), and how nulls surface after
+    # rendering.
     rank = np.zeros(n, dtype=np.int8)
-    if empty_is_missing:
-        rank[vals_np == ""] = SYSTEM_MISSING
+    rank[vals_np == ""] = SYSTEM_MISSING
     for the_vi, dm in dm_by_vi.items():
         if dm:
             sel = vi == the_vi

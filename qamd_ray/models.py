@@ -20,12 +20,9 @@ worker builds byte-identical weights.
 
 These are the pipeline's ONLY stateful stages (SURVEY.md §7).  They run
 as plain tasks: the ``ModelScorers`` callable carries only thresholds; the
-models are built on first use in each worker process and cached
-module-level (_SCORER_CACHE) — warm workers pay nothing, no actor
+models are built on first use in each worker process by ``default()`` and
+cached module-level (``_CACHE``) — warm workers pay nothing, no actor
 spin-up, elastic scaling.
-
-A module-level cache avoids re-training when several stages (or unit
-tests) construct the same model in one process.
 """
 
 from __future__ import annotations
@@ -41,7 +38,6 @@ from .config import Config
 from .synth import LANGS, clean_samples
 
 _CACHE: dict = {}
-_SCORER_CACHE: dict = {}
 
 
 def _bytes_of(s: str) -> np.ndarray:
@@ -69,29 +65,24 @@ def _ppl_hashes(
 
 
 class LangIdModel:
-    """Multinomial NB over hashed char trigrams; classes = LANGS."""
+    """Multinomial NB over hashed char trigrams; classes = LANGS, trained
+    on ``SAMPLES_PER_LANG`` clean samples per language."""
 
-    def __init__(
-        self,
-        corpus: Optional[dict[str, list[str]]] = None,
-        dim: int = 1 << 15,
-        alpha: float = 0.5,
-        samples_per_lang: int = 120,
-        seed: int = 7,
-    ):
-        self.dim = dim
-        self.alpha = alpha
-        if corpus is None:
-            corpus = {l: clean_samples(l, samples_per_lang, seed=seed) for l in LANGS}
-        self.classes = sorted(corpus)
-        counts = np.zeros((len(self.classes), dim), dtype=np.float64)
+    DIM = 1 << 15
+    ALPHA = 0.5
+    SAMPLES_PER_LANG = 120
+    SEED = 7
+
+    def __init__(self):
+        self.classes = sorted(LANGS)
+        counts = np.zeros((len(self.classes), self.DIM), dtype=np.float64)
         for i, lang in enumerate(self.classes):
-            for text in corpus[lang]:
-                h = _trigram_hashes(_bytes_of(text), dim)
+            for text in clean_samples(lang, self.SAMPLES_PER_LANG, seed=self.SEED):
+                h = _trigram_hashes(_bytes_of(text), self.DIM)
                 if len(h):
                     np.add.at(counts[i], h, 1.0)
         totals = counts.sum(axis=1, keepdims=True)
-        logp = np.log(counts + self.alpha) - np.log(totals + self.alpha * self.dim)
+        logp = np.log(counts + self.ALPHA) - np.log(totals + self.ALPHA * self.DIM)
         self.logp = logp.astype(np.float32)
 
     @classmethod
@@ -116,7 +107,7 @@ class LangIdModel:
         preds = np.full(n, "", dtype=object)
         confs = np.zeros(n, dtype=np.float64)
         for i, t in enumerate(texts):
-            h = _trigram_hashes(_bytes_of(t or ""), self.dim)
+            h = _trigram_hashes(_bytes_of(t or ""), self.DIM)
             if len(h) == 0:
                 continue
             scores = self.logp[:, h].sum(axis=1)
@@ -131,19 +122,17 @@ class PerplexityModel:
     """Interpolated hashed char-trigram LM; score(text) = bits/char."""
 
     LAMBDAS = (0.70, 0.25, 0.05)  # trigram, bigram, unigram
+    DIM3 = 1 << 22
+    DIM2 = 1 << 18
+    ALPHA = 0.1
+    SAMPLES_PER_LANG = 120
+    SEED = 7
 
-    def __init__(
-        self,
-        corpus: Optional[list[str]] = None,
-        dim3: int = 1 << 22,
-        dim2: int = 1 << 18,
-        alpha: float = 0.1,
-        samples_per_lang: int = 120,
-        seed: int = 7,
-    ):
-        self.dim3, self.dim2, self.alpha = dim3, dim2, alpha
-        if corpus is None:
-            corpus = [t for l in LANGS for t in clean_samples(l, samples_per_lang, seed=seed)]
+    def __init__(self):
+        dim3, dim2 = self.DIM3, self.DIM2
+        corpus = [
+            t for l in LANGS for t in clean_samples(l, self.SAMPLES_PER_LANG, seed=self.SEED)
+        ]
         t3 = np.zeros(dim3, dtype=np.float64)  # count(c1 c2 c)
         c2 = np.zeros(dim2, dtype=np.float64)  # count(c1 c2 ·)
         b2 = np.zeros(dim2, dtype=np.float64)  # count(c1 c)
@@ -173,7 +162,7 @@ class PerplexityModel:
     def bits_per_char(self, texts: Sequence[str]) -> np.ndarray:
         """Vectorized per-text cross-entropy in bits/char (0.0 for texts
         shorter than 3 bytes — too short to score)."""
-        a = self.alpha
+        a = self.ALPHA
         l3, l2, l1 = self.LAMBDAS
         out = np.zeros(len(texts), dtype=np.float64)
         for i, t in enumerate(texts):
@@ -181,7 +170,7 @@ class PerplexityModel:
             if len(b) < 3:
                 continue
             x = b.astype(np.int64)
-            h3, hc2, hb2 = _ppl_hashes(x, self.dim3, self.dim2)
+            h3, hc2, hb2 = _ppl_hashes(x, self.DIM3, self.DIM2)
             p3 = (self.t3[h3] + a) / (self.c2[hc2] + a * 256.0)
             p2 = (self.b2[hb2[1:]] + a) / (self.c1[x[1:-1]] + a * 256.0)
             p1 = (self.u1[x[2:]] + a) / (self.total + a * 256.0)
@@ -191,12 +180,12 @@ class PerplexityModel:
 
 
 # ---------------------------------------------------------------------------
-# actor-pool stages
+# scorer stages (plain map_batches tasks)
 # ---------------------------------------------------------------------------
 
 
 class LangIdScorer:
-    """Actor stage: adds ``langid_pred``, ``langid_conf``, ``f_langid``.
+    """Scorer stage: adds ``langid_pred``, ``langid_conf``, ``f_langid``.
 
     ``f_langid`` fires when the model confidently disagrees with the
     declared ``lang`` tag, or predicts a language outside the allowed
@@ -205,9 +194,8 @@ class LangIdScorer:
     the reference's absent-key-skips-check convention).
     """
 
-    def __init__(self, min_confidence: float = 0.5, allowed: Optional[list[str]] = None,
-                 model: Optional[LangIdModel] = None):
-        self.model = model if model is not None else LangIdModel.default()
+    def __init__(self, min_confidence: float = 0.5, allowed: Optional[list[str]] = None):
+        self.model = LangIdModel.default()
         self.min_conf = float(min_confidence)
         self.allowed = set(allowed) if allowed else None
 
@@ -242,14 +230,13 @@ class LangIdScorer:
 
 
 class PerplexityScorer:
-    """Actor stage: adds ``ppl_bits``, ``f_perplexity``.
+    """Scorer stage: adds ``ppl_bits``, ``f_perplexity``.
 
     Gated on ``quality_filter.perplexity_max_bits_per_char``.
     """
 
-    def __init__(self, max_bits_per_char: float = 6.0,
-                 model: Optional[PerplexityModel] = None):
-        self.model = model if model is not None else PerplexityModel.default()
+    def __init__(self, max_bits_per_char: float = 6.0):
+        self.model = PerplexityModel.default()
         self.max_bits = float(max_bits_per_char)
 
     @staticmethod
@@ -280,38 +267,24 @@ class ModelScorers:
         ppl_kwargs: Optional[dict] = None,
     ):
         # the instance pickles per task carrying only these small kwargs;
-        # the models are built on first use IN the worker via the
-        # deterministic default() constructors and cached per worker
-        # process (_SCORER_CACHE), so warm workers pay nothing and there
-        # is no actor spin-up at all.  (Broadcasting the trained weights
-        # through the object store was measured SLOWER here — fetching +
-        # localizing ~70 MB of tables costs ~5 s while re-training takes
-        # ~0.5 s.)
+        # the scorers are built on first call IN the worker, and their
+        # models come from the deterministic default() constructors,
+        # cached per worker process (_CACHE), so warm workers pay nothing
+        # and there is no actor spin-up at all.  (Broadcasting the trained
+        # weights through the object store was measured SLOWER here —
+        # fetching + localizing ~70 MB of tables costs ~5 s while
+        # re-training takes ~0.5 s.)
         self.langid_kwargs = langid_kwargs
         self.ppl_kwargs = ppl_kwargs
         self._scorers: Optional[tuple] = None
 
     def _resolve(self) -> tuple:
-        if self._scorers is not None:
-            return self._scorers
-        key = (
-            tuple(sorted((self.langid_kwargs or {}).items())) if self.langid_kwargs is not None else None,
-            tuple(sorted((self.ppl_kwargs or {}).items())) if self.ppl_kwargs is not None else None,
-        )
-        key = repr(key)
-        cached = _SCORER_CACHE.get(key)
-        if cached is None:
-            cached = (
-                LangIdScorer(**self.langid_kwargs)
-                if self.langid_kwargs is not None
-                else None,
-                PerplexityScorer(**self.ppl_kwargs)
-                if self.ppl_kwargs is not None
-                else None,
+        if self._scorers is None:
+            self._scorers = (
+                LangIdScorer(**self.langid_kwargs) if self.langid_kwargs is not None else None,
+                PerplexityScorer(**self.ppl_kwargs) if self.ppl_kwargs is not None else None,
             )
-            _SCORER_CACHE[key] = cached
-        self._scorers = cached
-        return cached
+        return self._scorers
 
     @staticmethod
     def from_config(config: Config) -> Optional[dict]:
@@ -320,7 +293,6 @@ class ModelScorers:
         if lk is None and pk is None:
             return None
         return {"langid_kwargs": lk, "ppl_kwargs": pk}
-
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         langid, ppl = self._resolve()

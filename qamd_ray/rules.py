@@ -10,10 +10,11 @@ which appends one boolean flag column ``f_<name>`` to the batch.
 
 Everything here is stateless and vectorized (pyarrow.compute / numpy over
 whole Arrow arrays — no per-row Python in the hot path except sha256, which
-has no vectorized kernel and is CPU-bound crypto anyway).  The stage is a
-plain ``map_batches`` task: ``ds.map_batches(RowRules(config),
-batch_format="pyarrow")``; regexes are compiled once driver-side in
-``RowRules.__init__`` and shipped with the serialized callable.
+has no vectorized kernel and is hashed straight from the Arrow values
+buffer by ``kernels.digest_rows``).  The stage is a plain ``map_batches``
+task: ``ds.map_batches(RowRules(config), batch_format="pyarrow")``;
+regexes are compiled once driver-side in ``RowRules.__init__`` and
+shipped with the serialized callable.
 
 Rule → reference-check lineage is documented per entry (file:line into
 /root/reference). ``drops=True`` rules feed the keep/drop decision; flag-only
@@ -23,7 +24,6 @@ src/check/variable.rs:20-46) are recorded but do not drop.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -81,7 +81,6 @@ RULES: list[Rule] = [
     Rule("stopword_only", "stopword_only", True, "Every token is in the lexicon (StringValueStopword, post.rs:420-443)"),
     Rule("spell_ratio", "spell_unknown_ratio_max", True, "Unknown-token ratio over dictionary (StringValueSpellcheck, post.rs:205-226)"),
 ]
-RULE_BY_NAME = {r.name: r for r in RULES}
 
 # flags computed by later stages that also participate in keep/drop
 MODEL_DROP_FLAGS = ["f_langid", "f_perplexity", "f_duplicate"]
@@ -147,8 +146,7 @@ class RowRules:
         n = len(batch)
 
         # sha256 of original content bytes (input_hint invariant key)
-        sha = [hashlib.sha256(s.encode("utf-8", "surrogatepass")).hexdigest()
-               for s in content.to_pylist()]
+        sha = K.digest_rows(content, "sha256")
 
         n_bytes = np.asarray(pc.binary_length(content), dtype=np.int64)
         max_line, mean_line, n_lines = K.line_length_stats(content)
@@ -220,27 +218,22 @@ class RowRules:
         return pa.table(cols)
 
 
-def keep_expression(schema_names: Optional[list[str]] = None) -> Callable[[pa.Table], pa.Table]:
+def keep_expression() -> Callable[[pa.Table], pa.Table]:
     """Final keep/drop: AND of the negated drop flags present in the batch.
 
     QAMD never drops rows — it counts pass/fail (SURVEY.md §2.3); the
     graft's ``keep`` is a derived column with all per-rule flags retained
     for report parity.  Drop columns are resolved against each batch's own
     column names (cheap, in-memory) so callers need not force a schema
-    probe on a lazy dataset; pass ``schema_names`` to pin them instead.
+    probe on a lazy dataset.
     """
     candidates = [flag_col(r.name) for r in RULES if r.drops] + MODEL_DROP_FLAGS
-    pinned = (
-        [c for c in candidates if c in schema_names] if schema_names is not None else None
-    )
 
     def _keep(batch: pa.Table) -> pa.Table:
-        cols = pinned if pinned is not None else [
-            c for c in candidates if c in batch.column_names
-        ]
         bad = np.zeros(len(batch), dtype=bool)
-        for c in cols:
-            bad |= np.asarray(K._as_array(batch[c]).fill_null(False))
+        for c in candidates:
+            if c in batch.column_names:
+                bad |= np.asarray(K._as_array(batch[c]).fill_null(False))
         return batch.append_column("keep", pa.array(~bad))
 
     return _keep

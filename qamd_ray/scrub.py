@@ -82,7 +82,6 @@ class Scrubber:
         self,
         patterns: Optional[list[ScrubPattern]] = None,
         toxicity_lexicon: Optional[list[str]] = None,
-        content_col: str = "content",
     ):
         pats = list(patterns if patterns is not None else DEFAULT_PATTERNS)
         if toxicity_lexicon:
@@ -99,10 +98,9 @@ class Scrubber:
                 self.prefilters.append(p.pattern)
             except pa.ArrowInvalid:
                 self.prefilters.append("")  # not RE2-expressible → no prefilter
-        self.content_col = content_col
 
     @staticmethod
-    def from_config(config: Config, content_col: str = "content") -> Optional["Scrubber"]:
+    def from_config(config: Config) -> Optional["Scrubber"]:
         q = config.quality_filter
         if q.scrub_patterns is None and q.toxicity_lexicon is None:
             return None
@@ -124,10 +122,10 @@ class Scrubber:
                 lex = [str(x) for x in v]
             else:
                 lex = list(TOXICITY_LEXICON)
-        return Scrubber(patterns=pats, toxicity_lexicon=lex, content_col=content_col)
+        return Scrubber(patterns=pats, toxicity_lexicon=lex)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        content = K._as_array(pc.fill_null(batch[self.content_col], ""))
+        content = K._as_array(pc.fill_null(batch["content"], ""))
         n = len(batch)
         candidate = np.zeros(n, dtype=bool)
         no_prefilter = False
@@ -158,8 +156,8 @@ class Scrubber:
                     changed = True
             if changed:
                 new = pa.array(vals, pa.string())
-                ci = batch.column_names.index(self.content_col)
-                out = batch.set_column(ci, self.content_col, new)
+                ci = batch.column_names.index("content")
+                out = batch.set_column(ci, "content", new)
             else:
                 out = batch
         return out.append_column("scrubbed", pa.array(n_scrubs > 0)).append_column(

@@ -65,19 +65,20 @@ def row_group_tasks(paths: str | Sequence[str]) -> list[dict]:
     return tasks
 
 
-def read_row_group(task: dict, columns: Optional[list[str]], row_col: str) -> pa.Table:
-    """One row group of a :func:`row_group_tasks` task, with its global row index."""
+def read_row_group(task: dict, columns: Optional[list[str]]) -> pa.Table:
+    """One row group of a :func:`row_group_tasks` task, with its global row
+    index in ``ROW_COL``."""
     tbl = pq.ParquetFile(task["path"]).read_row_group(task["row_group"], columns=columns)
     idx = pa.array(np.arange(task["offset"], task["offset"] + len(tbl), dtype=np.int64))
-    return tbl.append_column(row_col, idx)
+    return tbl.append_column(ROW_COL, idx)
 
 
 def read_parquet_with_row_index(
     paths: str | Sequence[str],
     columns: Optional[list[str]] = None,
-    row_col: str = ROW_COL,
 ) -> "ray.data.Dataset":
-    """Read Parquet into a Dataset carrying a global row-index column.
+    """Read Parquet into a Dataset carrying a global row-index column
+    (``ROW_COL``).
 
     Columns are pruned at the read (only ``columns`` leave storage).
     Each task reads exactly one row group — bounded memory, scales with
@@ -91,7 +92,7 @@ def read_parquet_with_row_index(
 
     def _read(batch: pa.Table) -> pa.Table:
         return pa.concat_tables(
-            [read_row_group(task, columns, row_col) for task in batch.to_pylist()]
+            [read_row_group(task, columns) for task in batch.to_pylist()]
         )
 
     # one BLOCK per task: from_items defaults to a single block, which

@@ -10,6 +10,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
+import pytest
 
 from qamd_ray.cli import main
 
@@ -92,21 +93,34 @@ def test_cli_bad_config(tmp_path, capsys):
     assert main(["check", "x.parquet", "-c", str(tmp_path / "absent.yaml")]) == 2
 
 
-def test_tune_read_parallelism(ray_session):
-    from ray.data import DataContext
+@pytest.mark.parametrize("ext", ["dta", "sav"])
+def test_cli_check_directory_of_stat_files(tmp_path, ext):
+    """``check DIR`` reads the statistical files in the directory: its JSON
+    is ``health_check`` over the list of those files (the reader is picked
+    from the files, not from the directory name)."""
+    from savgen import write_sav
 
-    from qamd_ray.tuning import tune_read_parallelism
+    from qamd_ray.gen_config import default_config
+    from qamd_ray.healthcheck import health_check
 
-    ctx = DataContext.get_current()
-    before = ctx.read_op_min_num_blocks
-    try:
-        assert tune_read_parallelism(num_cpus=64) == 128
-        assert ctx.read_op_min_num_blocks == 128
-        # the floor of 32 wins at low cpu counts
-        assert tune_read_parallelism(num_cpus=4) == 32
-        assert ctx.read_op_min_num_blocks == 32
-    finally:
-        ctx.read_op_min_num_blocks = before
+    d = tmp_path / "in"
+    d.mkdir()
+    files = [str(d / f"{k}.{ext}") for k in ("a", "b")]
+    for k, path in enumerate(files):
+        age = [30.0 + k, 40.0, None]
+        name = ["x", "", f"n{k}"]
+        if ext == "dta":
+            pd.DataFrame({"age": np.array(age, dtype="float64"), "name": name}).to_stata(
+                path, write_index=False, version=117
+            )
+        else:
+            write_sav(path, {"AGE": age, "NAME": name})
+    out = str(tmp_path / "report.json")
+    assert main(["check", str(d), "-o", out]) == 0
+    with open(out) as f:
+        got = f.read()
+    assert got == health_check(files, default_config()).to_json(indent=2)
+    assert json.loads(got)["metadata"]["raw_case_count"] == 6
 
 
 def test_cli_init_scaffold(tmp_path, capsys):

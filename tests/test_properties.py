@@ -54,8 +54,8 @@ def _cfg() -> Config:
     q.perplexity_max_bits_per_char = None
     q.duplicate_content = None
     # enable the flag-only date rule and the spellcheck-ratio rule so their
-    # oracle twins get property coverage too (ADVICE r1: oracle_labels must
-    # model every rule the pipeline can enable)
+    # oracle twins get property coverage too (oracle_labels must model
+    # every rule the pipeline can enable)
     q.date_format = Setting(setting=True, desc="date literals")
     q.spell_unknown_ratio_max = Setting(setting=0.5, desc="unknown ratio")
     q.spell_dictionaries = Setting(

@@ -6,12 +6,14 @@ case_count / labels for mtcars.dta) plus TAGGED_MISSING derivation
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import pytest
 
 from qamd_ray.healthcheck import (
     TAGGED_MISSING,
     SYSTEM_MISSING,
-    _missing_rank_for,
+    _flag_freq,
+    build_frequency_table,
     health_check,
 )
 from qamd_ray.readers import read_stat_table, read_stata_file
@@ -73,16 +75,22 @@ def test_read_stata_meta_and_rendering(dta_path):
 
 
 def test_tagged_missing_rank(dta_path):
+    """The missing rank the health check computes per distinct value
+    (``_flag_freq`` over the file's frequency table), in row order: the
+    tagged ``.a`` of ``score`` and the system missing of ``age``."""
+    from qamd_ray.gen_config import default_config
+
     t, meta = read_stata_file(dta_path)
-    rank = _missing_rank_for(
-        t["score"].combine_chunks(),
-        set(),
-        True,
-        meta.tagged_missing["score"],
-    )
-    assert list(rank) == [0, TAGGED_MISSING, 0, 0]
-    rank_age = _missing_rank_for(t["age"].combine_chunks(), set(), True)
-    assert list(rank_age) == [0, 0, SYSTEM_MISSING, 0]
+    freq, _ = build_frequency_table([t], meta.variables)
+    flagged = _flag_freq(freq, meta, default_config())
+    vi = {v.name: v.index for v in meta.variables}
+
+    def ranks(name: str) -> list[int]:
+        rows = flagged.filter(pc.equal(flagged["vi"], vi[name]))
+        return rows.sort_by("first_row")["missing"].to_pylist()
+
+    assert ranks("score") == [0, TAGGED_MISSING, 0, 0]
+    assert ranks("age") == [0, 0, SYSTEM_MISSING, 0]
 
 
 def test_health_check_over_dta(dta_path, ray_session):
@@ -365,8 +373,9 @@ def test_por_charset_translation(tmp_path):
 def test_read_por_bespoke_translation_table(tmp_path):
     """A portable file in a bespoke charset (an arbitrary byte permutation
     matching NO known code page) decodes through its own embedded
-    translation table (VERDICT r3 #8) and reads identically to its .sav
-    twin and to the plain latin-1 portable encoding of the same data."""
+    translation table (``readers._por_decode_via_table``) and reads
+    identically to its .sav twin and to the plain latin-1 portable
+    encoding of the same data."""
     from porgen import write_por
     from savgen import write_sav
 

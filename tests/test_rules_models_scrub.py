@@ -77,7 +77,7 @@ def test_date_flag_is_flag_only(rules):
     t = _batch(content=["released 2024-01-15 ok this is fine content here"])
     out = rules(t)
     assert out["f_date"].to_pylist() == [True]
-    kept = keep_expression(out.schema.names)(out)
+    kept = keep_expression()(out)
     assert kept["keep"].to_pylist() == [True]  # date does not drop
 
 
