@@ -269,9 +269,10 @@ def health_check(
     table into one frequency table (:func:`build_frequency_table`).
     """
     if isinstance(source, (str, list, tuple)):
-        first = str(source if isinstance(source, str) else source[0])
-        default_name = first.split("/")[-1]
         files = _expand(source)
+        # named after the first expanded file, as the statistical readers
+        # name theirs — never after a glob or a directory
+        default_name = os.path.basename(files[0]) if files else ""
         ext = os.path.splitext(files[0])[1].lower() if files else ""
         if ext in (".dta", ".sav", ".por", ".sas7bdat", ".xpt"):
             # statistical formats: full dispatch incl. header metadata

@@ -251,15 +251,20 @@ def render_values(arr: pa.Array) -> pa.Array:
         return pc.fill_null(pc.cast(arr, pa.string()), "")
     if pa.types.is_floating(t):
         vals = np.asarray(pc.cast(arr, pa.float64()).fill_null(np.nan))
-        out = np.empty(len(vals), dtype=object)
-        for i, v in enumerate(vals):
-            if np.isnan(v):
-                out[i] = ""
-            elif v == int(v) and abs(v) < 1e16:
-                out[i] = f"{int(v)}.0"
-            else:
-                out[i] = repr(v)
-        return pa.array(out, type=pa.string())
+        nan = np.isnan(vals)
+        # integer-valued finite floats below 1e16 render "<int>.0" in one
+        # vectorized pass; only the rest (fractions, huge values) go
+        # through repr
+        with np.errstate(invalid="ignore"):
+            whole = ~nan & (np.abs(vals) < 1e16) & (np.trunc(vals) == vals)
+        ints = pc.cast(pa.array(np.where(whole, vals, 0).astype(np.int64)), pa.string())
+        rest = ~(nan | whole)
+        other = pa.scalar("")
+        if rest.any():
+            other = np.full(len(vals), "", dtype=object)
+            other[rest] = [repr(v) for v in vals[rest].tolist()]
+            other = pa.array(other, pa.string())
+        return pc.if_else(pa.array(whole), pc.binary_join_element_wise(ints, ".0", ""), other)
     if pa.types.is_boolean(t):
         return pc.fill_null(pc.cast(arr, pa.string()), "")
     if pa.types.is_timestamp(t) or pa.types.is_date(t):

@@ -27,9 +27,13 @@ Scale notes, explicit:
   so giant-repo skew never grows it beyond the batch count — the
   salted-key pattern of SURVEY.md §4 strengthened to a full combiner.
 * Checkpoint/resume (north rule): ``run_checkpointed`` shards the input by
-  Parquet row group, writes ``part=<k>/data/`` (task-written Parquet files,
-  atomically published by directory rename) + ``manifest.json`` per shard,
-  and on restart skips shards whose manifest validates.
+  Parquet row group and runs ONE Ray Data job per phase over all pending
+  shards.  Its writer stage writes each shard's ``part=<k>/`` Parquet
+  files; the driver publishes a shard (``data/`` by directory rename, then
+  ``manifest.json``) as soon as its rows are written, and on restart skips
+  shards whose manifest validates.  The final manifests carry per-repo
+  partial counts and per-rule locators, so the report is merged from the
+  manifests without reading any written file back.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ import glob
 import json
 import os
 import time
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 import pandas as pd
@@ -253,24 +257,32 @@ def finalize(
     # don't need a limit-1 execution of this chain just to read the schema
     try:
         base = enriched.schema(fetch_if_missing=False)
-        names = (
-            list(base.names) if base is not None else _enriched_columns(config)
+        ds._qamd_columns = _final_columns(
+            config, list(base.names) if base is not None else None
         )
-        if q.duplicate_content is not None and q.duplicate_content.setting:
-            names.append("f_duplicate")
-        if scrubber is not None:
-            names.extend(["scrubbed", "n_scrubs"])
-        names.append("keep")
-        ds._qamd_columns = names
     except Exception:  # pragma: no cover - advisory only
         pass
     return ds
 
 
+def _final_columns(config: Config, enriched_names: Optional[list[str]] = None) -> list[str]:
+    """Columns of finalize(config) output over an enriched table with
+    ``enriched_names`` (default: :func:`_enriched_columns`)."""
+    names = enriched_names if enriched_names is not None else _enriched_columns(config)
+    q = config.quality_filter
+    if q.duplicate_content is not None and q.duplicate_content.setting:
+        names.append("f_duplicate")
+    if Scrubber.from_config(config) is not None:
+        names.extend(["scrubbed", "n_scrubs"])
+    names.append("keep")
+    return names
+
+
 def _enriched_columns(config: Config, input_names: Sequence[str] = INPUT_COLUMNS) -> list[str]:
     """Expected columns of enrich(config) output, derived without
-    executing the lazy chain (membership is what the report helpers need;
-    exact ordering is irrelevant)."""
+    executing the lazy chain.  The ``f_`` columns come in the order the
+    stages append them, which orders the checks of every report built
+    from these names."""
     r = RowRules(config)
     names = list(input_names) + ["content_sha256", "n_bytes", "n_lines", "max_line_len"]
     if "odd_ratio" in r.enabled:
@@ -349,6 +361,31 @@ def _flag_columns(names: Sequence[str]) -> list[str]:
     ]
 
 
+def _repo_partials(batch: pa.Table, flags: Sequence[str], keep_col: bool) -> pd.DataFrame:
+    """One partial-count row per repo of ``batch``: ``n_rows``, the sum of
+    every column of ``flags`` and, with ``keep_col``, ``n_keep``."""
+    # project away content BEFORE the pandas conversion (zero-copy Arrow
+    # select) — pandas-ifying the wide final table (content strings →
+    # objects) costs more than the aggregation itself
+    df = batch.select(["repo", *flags] + (["keep"] if keep_col else [])).to_pandas()
+    agg = {c: (c, "sum") for c in flags}
+    if keep_col:
+        agg["n_keep"] = ("keep", "sum")
+    return df.groupby("repo", sort=False).agg(n_rows=("repo", "size"), **agg).reset_index()
+
+
+def _sum_partials(pdf: pd.DataFrame, sum_cols: Sequence[str]) -> pa.Table:
+    """Per-repo sums of :func:`_repo_partials` rows, sorted by repo.  An
+    empty ``pdf`` (a zero-row input collects to a frame without columns)
+    gives an empty table with the same columns."""
+    if pdf.empty:
+        return pa.table(
+            {"repo": pa.array([], pa.string()), **{c: pa.array([], pa.int64()) for c in sum_cols}}
+        )
+    rep = pdf.groupby("repo", sort=False)[list(sum_cols)].sum().reset_index()
+    return pa.Table.from_pandas(rep, preserve_index=False).sort_by("repo")
+
+
 def repo_report(
     final: "ray.data.Dataset",
     *,
@@ -356,10 +393,10 @@ def repo_report(
 ) -> pa.Table:
     """Per-repo pass/fail counts for every flag — one row per repo.
 
-    Per-batch partial aggregation (pandas groupby inside map_batches)
-    bounds what reaches the driver to O(repos × batches) rows regardless
-    of skew; the driver sums the partials per repo with one pandas
-    groupby.  The reference's whole-file counters (report summary
+    Per-batch partial aggregation (:func:`_repo_partials` inside
+    map_batches) bounds what reaches the driver to O(repos × batches) rows
+    regardless of skew; the driver sums the partials per repo with one
+    pandas groupby.  The reference's whole-file counters (report summary
     HashMap) fall out as the column sums of this table.  ``n_rows``,
     when given, must equal the number of rows the partials counted.
     """
@@ -367,35 +404,14 @@ def repo_report(
     flags = _flag_columns(names)
     keep_col = "keep" in names
 
-    cols = ["repo", *flags] + (["keep"] if keep_col else [])
-
     def _partials(batch: pa.Table) -> pd.DataFrame:
-        # project away content BEFORE the pandas conversion (zero-copy
-        # Arrow select) — pandas-ifying the wide final table (content
-        # strings → objects) costs more than the aggregation itself.
-        # A dataset-level select_columns would break task fusion / force
-        # an extra schema-resolving execution of the lazy chain.
-        batch = batch.select(cols).to_pandas()
-        agg = {c: (c, "sum") for c in flags}
-        if keep_col:
-            agg["n_keep"] = ("keep", "sum")
-        g = batch.groupby("repo", sort=False).agg(
-            n_rows=("repo", "size"), **agg
-        )
-        return g.reset_index()
+        # a dataset-level select_columns would break task fusion / force
+        # an extra schema-resolving execution of the lazy chain
+        return _repo_partials(batch, flags, keep_col)
 
-    partials = final.map_batches(_partials, batch_format="pyarrow")
-    sum_cols = flags + ["n_rows"] + (["n_keep"] if keep_col else [])
-    pdf = partials.to_pandas()
-    if pdf.empty:
-        # a zero-row input collects to a frame without columns
-        _check_rows("repo_report", 0, n_rows)
-        return pa.table(
-            {"repo": pa.array([], pa.string()), **{c: pa.array([], pa.int64()) for c in sum_cols}}
-        )
-    _check_rows("repo_report", int(pdf["n_rows"].sum()), n_rows)
-    rep = pdf.groupby("repo", sort=False)[sum_cols].sum().reset_index()
-    return pa.Table.from_pandas(rep, preserve_index=False).sort_by("repo")
+    pdf = final.map_batches(_partials, batch_format="pyarrow").to_pandas()
+    _check_rows("repo_report", 0 if pdf.empty else int(pdf["n_rows"].sum()), n_rows)
+    return _sum_partials(pdf, flags + ["n_rows"] + (["n_keep"] if keep_col else []))
 
 
 def summary_report(repo_table: pa.Table, metadata_only: bool = False,
@@ -436,43 +452,63 @@ def summary_report(repo_table: pa.Table, metadata_only: bool = False,
     return out
 
 
+def _locator_partials(batch: pa.Table, flags: Sequence[str]) -> pd.DataFrame:
+    """Up to ``LOCATOR_CAP`` smallest (repo, path) pairs of ``batch`` per
+    flag column set → columns ``repo``, ``path``, ``rule``."""
+    # project away content before the pandas conversion, as
+    # _repo_partials does
+    df = batch.select(["repo", "path", *flags]).to_pandas()
+    outs = []
+    for c in flags:
+        sub = df.loc[df[c].fillna(False), ["repo", "path"]]
+        if len(sub):
+            sub = sub.sort_values(["repo", "path"]).head(LOCATOR_CAP)
+            outs.append(sub.assign(rule=c[2:]))
+    if not outs:
+        return pd.DataFrame({"repo": [], "path": [], "rule": []})
+    return pd.concat(outs, ignore_index=True)
+
+
+def _merge_locators(parts: pd.DataFrame) -> dict[str, list]:
+    """{rule → the ``LOCATOR_CAP`` smallest {repo, path}} over partials
+    with columns ``repo``, ``path``, ``rule``.  Each partial is already
+    smallest-k, so merging is exact in any grouping of the rows."""
+    out: dict[str, list] = {}
+    if parts.empty:
+        return out
+    top = parts.sort_values(["rule", "repo", "path"]).groupby("rule", sort=False).head(LOCATOR_CAP)
+    for rule, r, p in zip(top["rule"], top["repo"], top["path"]):
+        out.setdefault(rule, []).append({"repo": r, "path": p})
+    return out
+
+
 def locator_samples(final: "ray.data.Dataset") -> dict[str, list]:
     """Deterministic failure locators per rule: up to ``LOCATOR_CAP``
     smallest (repo, path) pairs — one pass, per-batch top-k partials
-    merged on the driver (reference emits per-failure locators, capped at
-    1000 in the HTML report, src/report/html/mod.rs:110,115)."""
+    (:func:`_locator_partials`) merged on the driver (reference emits
+    per-failure locators, capped at 1000 in the HTML report,
+    src/report/html/mod.rs:110,115)."""
     all_names = getattr(final, "_qamd_columns", None) or final.schema().names
     names = [c for c in all_names if c.startswith("f_")]
     if not names:
         return {}
-    loc_cols = ["repo", "path", *names]
 
     def _partials(batch: pa.Table) -> pd.DataFrame:
-        # project away content before the pandas conversion, as
-        # repo_report does
-        batch = batch.select(loc_cols).to_pandas()
-        outs = []
-        for c in names:
-            sub = batch.loc[batch[c].fillna(False), ["repo", "path"]]
-            if len(sub):
-                sub = sub.sort_values(["repo", "path"]).head(LOCATOR_CAP)
-                sub = sub.assign(rule=c[2:])
-                outs.append(sub)
-        if not outs:
-            return pd.DataFrame({"repo": [], "path": [], "rule": []})
-        return pd.concat(outs, ignore_index=True)
+        return _locator_partials(batch, names)
 
-    parts = final.map_batches(_partials, batch_format="pyarrow").to_pandas()
-    out: dict[str, list] = {}
-    for rule, g in parts.groupby("rule"):
-        g = g.sort_values(["repo", "path"]).head(LOCATOR_CAP)
-        out[rule] = [{"repo": r, "path": p} for r, p in zip(g["repo"], g["path"])]
-    return out
+    return _merge_locators(final.map_batches(_partials, batch_format="pyarrow").to_pandas())
 
 
 # ---------------------------------------------------------------------------
 # checkpointed, resumable run (north rule: restart skips finished partitions)
 # ---------------------------------------------------------------------------
+
+# shard number of each row inside a checkpoint job; never written
+SHARD_COL = "__shard__"
+# what the writer stage returns: one row per Parquet file it wrote
+WRITTEN_SCHEMA = pa.schema(
+    [("shard", pa.int64()), ("file", pa.string()), ("rows", pa.int64()), ("stats", pa.string())]
+)
 
 
 def _shard_row_groups(paths: Sequence[str] | str, num_shards: int) -> list[list[dict]]:
@@ -486,11 +522,20 @@ def _shard_row_groups(paths: Sequence[str] | str, num_shards: int) -> list[list[
 
 
 def _read_shard(tasks: list[dict], columns: Optional[list[str]]) -> "ray.data.Dataset":
+    """One Ray task per read task: the row group ``row_group`` of ``path``,
+    or the whole file when ``row_group`` is None.  Each row carries the
+    task's ``shard`` in ``SHARD_COL``."""
+
     def _read(batch: pa.Table) -> pa.Table:
         out = []
         for task in batch.to_pylist():
             pf = pq.ParquetFile(task["path"])
-            out.append(pf.read_row_group(task["row_group"], columns=columns))
+            if task["row_group"] is None:
+                t = pf.read(columns=columns)
+            else:
+                t = pf.read_row_group(task["row_group"], columns=columns)
+            shard = pa.array(np.full(len(t), task["shard"], dtype=np.int64))
+            out.append(t.append_column(SHARD_COL, shard))
         return pa.concat_tables(out)
 
     return ray.data.from_items(tasks, override_num_blocks=len(tasks)).map_batches(
@@ -502,33 +547,145 @@ def _shard_files(part_dir: str) -> list[str]:
     return sorted(glob.glob(os.path.join(part_dir, "data", "*.parquet")))
 
 
-def _manifest_ok(manifest_path: str) -> bool:
-    """A shard is complete iff its manifest parses and the data directory's
-    Parquet row counts (metadata only — no data read) sum to the recorded
-    count."""
+def _valid_manifest(part_dir: str, keys: Sequence[str]) -> Optional[dict]:
+    """The shard's manifest if the shard is complete, else None.  Complete:
+    the manifest parses, carries every key of ``keys``, and the Parquet row
+    counts of ``data/`` (metadata only — no data read) sum to its ``rows``
+    (an empty shard has an empty ``data/``)."""
     try:
-        with open(manifest_path) as f:
+        with open(os.path.join(part_dir, "manifest.json")) as f:
             m = json.load(f)
-        files = _shard_files(os.path.dirname(manifest_path))
-        return bool(files) and sum(pq.read_metadata(p).num_rows for p in files) == m["rows"]
-    except (OSError, ValueError, KeyError):
-        return False
+        if not os.path.isdir(os.path.join(part_dir, "data")) or any(k not in m for k in keys):
+            return None
+        rows = sum(pq.read_metadata(p).num_rows for p in _shard_files(part_dir))
+        return m if rows == m["rows"] else None
+    except (OSError, ValueError, KeyError, TypeError):
+        return None
 
 
-def _write_shard(ds: "ray.data.Dataset", part_dir: str) -> tuple[int, list[str]]:
-    """Distributed, atomic shard write: Ray tasks write Parquet files to a
-    temp dir (data never passes through the driver), then one rename
-    publishes it.  → (row_count, files)."""
+def _merge_final_stats(parts: Sequence[dict], sum_cols: list[str]) -> tuple[pa.Table, dict]:
+    """Per-repo ``partials`` and per-rule ``locators`` of final files (into
+    a shard's) or of final shards (into the run's) → (repo table, locators).
+    Partials sum per repo; locators are smallest-k, so they merge exactly."""
+    rt = _sum_partials(pd.DataFrame([p for s in parts for p in s["partials"]]), sum_cols)
+    locs = pd.DataFrame(
+        [{**loc, "rule": r} for s in parts for r, ls in s["locators"].items() for loc in ls]
+    )
+    return rt, _merge_locators(locs)
+
+
+def _content_bytes(rows: pa.Table, footer: "pq.FileMetaData") -> dict:
+    """Enriched-file stats: the content column's uncompressed bytes."""
+    ci = footer.schema.to_arrow_schema().get_field_index("content")
+    return {
+        "content_bytes": sum(
+            footer.row_group(i).column(ci).total_uncompressed_size
+            for i in range(footer.num_row_groups)
+        )
+    }
+
+
+def _publish(part_dir: str, files: set[str], manifest: dict) -> None:
+    """Publishes a shard: drops any file in ``.data.tmp`` the writer did
+    not report (left by a retried task), renames it to ``data``, then
+    writes ``manifest.json``."""
     import shutil
 
     tmp = os.path.join(part_dir, ".data.tmp")
-    shutil.rmtree(tmp, ignore_errors=True)
-    ds.write_parquet(tmp)
-    rows = sum(pq.read_metadata(p).num_rows for p in glob.glob(os.path.join(tmp, "*.parquet")))
+    for name in os.listdir(tmp):
+        if name not in files:
+            os.remove(os.path.join(tmp, name))
     data_dir = os.path.join(part_dir, "data")
     shutil.rmtree(data_dir, ignore_errors=True)
     os.replace(tmp, data_dir)
-    return rows, _shard_files(part_dir)
+    mpath = os.path.join(part_dir, "manifest.json")
+    with open(mpath + ".tmp", "w") as f:
+        json.dump(manifest, f)
+    os.replace(mpath + ".tmp", mpath)
+
+
+def _run_phase(
+    phase_dir: str,
+    heads: list[dict],
+    keys: Sequence[str],
+    job: Callable[[list[int]], "ray.data.Dataset"],
+    stats: Callable[[pa.Table, "pq.FileMetaData"], dict],
+    summarize: Callable[[list[dict]], dict],
+) -> tuple[list[dict], int]:
+    """One checkpoint phase → (every shard's manifest, shards skipped).
+
+    ``heads[k]`` starts shard k's manifest; its ``rows`` is the row count
+    the shard must reach.  A shard whose manifest validates (and carries
+    ``keys``) is skipped.  ``job(pending)`` builds ONE Dataset over all
+    pending shards, whose rows carry ``SHARD_COL``; a writer stage ends it.
+    The writer writes each shard's rows of a batch to one Parquet file in
+    that shard's ``part=<k>/.data.tmp/`` and returns one small row per
+    file: ``stats(rows, footer)`` from the batch and the writer's own
+    footer (``metadata_collector``), so nothing written is read back.  The
+    driver reads these rows as they stream in and publishes a shard as
+    soon as its rows have all arrived, so a crash mid-phase keeps every
+    shard already published.  ``summarize`` turns a shard's per-file
+    stats into the rest of its manifest.
+    """
+    import shutil
+
+    def _write(batch: pa.Table) -> pa.Table:
+        import uuid
+
+        out: dict[str, list] = {name: [] for name in WRITTEN_SCHEMA.names}
+        shard = batch[SHARD_COL]
+        shards = pc.unique(shard).to_pylist()
+        for k in shards:
+            rows = batch if len(shards) == 1 else batch.filter(pc.equal(shard, k))
+            rows = rows.drop_columns([SHARD_COL])
+            name = f"{uuid.uuid4().hex}.parquet"
+            md: list = []
+            pq.write_table(
+                rows, os.path.join(phase_dir, f"part={k}", ".data.tmp", name),
+                metadata_collector=md,
+            )
+            out["shard"].append(k)
+            out["file"].append(name)
+            out["rows"].append(md[0].num_rows)
+            out["stats"].append(json.dumps(stats(rows, md[0])))
+        return pa.table(out, schema=WRITTEN_SCHEMA)
+
+    t0 = time.time()
+    parts = [os.path.join(phase_dir, f"part={k}") for k in range(len(heads))]
+    done = {k: m for k, p in enumerate(parts) if (m := _valid_manifest(p, keys)) is not None}
+    skipped = len(done)
+    pending = [k for k in range(len(heads)) if k not in done]
+    for k in pending:
+        # a stale manifest must not validate a half-published shard
+        if os.path.exists(os.path.join(parts[k], "manifest.json")):
+            os.remove(os.path.join(parts[k], "manifest.json"))
+        shutil.rmtree(os.path.join(parts[k], ".data.tmp"), ignore_errors=True)
+        os.makedirs(os.path.join(parts[k], ".data.tmp"))
+    written: dict[int, list[tuple[str, dict]]] = {k: [] for k in pending}
+    got = dict.fromkeys(pending, 0)
+
+    def publish(k: int) -> None:
+        files = written[k]
+        done[k] = {**heads[k], "wall_s": round(time.time() - t0, 3),
+                   **summarize([s for _, s in files])}
+        _publish(parts[k], {f for f, _ in files}, done[k])
+
+    for k in pending:
+        if heads[k]["rows"] == 0:
+            publish(k)
+    if len(done) < len(heads):
+        ds = job(pending).map_batches(_write, batch_size=None, batch_format="pyarrow")
+        for block in ds.iter_batches(batch_size=None, batch_format="pyarrow"):
+            for row in block.to_pylist():
+                k = row["shard"]
+                written[k].append((row["file"], json.loads(row["stats"])))
+                got[k] += row["rows"]
+                if got[k] == heads[k]["rows"]:
+                    publish(k)
+    short = {k: (got[k], heads[k]["rows"]) for k in pending if k not in done}
+    if short:
+        raise RuntimeError(f"{phase_dir}: shards written short, (rows, expected): {short}")
+    return [done[k] for k in range(len(heads))], skipped
 
 
 def run_checkpointed(
@@ -545,50 +702,35 @@ def run_checkpointed(
              ``out_dir/final/part=<k>/{data/,manifest.json}``
              ``out_dir/winners.json``  ``out_dir/report.json``
 
-    Each manifest records its input row groups, row count and wall time;
-    a shard whose manifest validates is skipped on restart — lineage +
-    metrics per partition, recompute = 0 for finished shards.
+    Phase 1 (rules + models) and phase 3 (dup flag + scrub + keep) each
+    run ONE Ray Data job over all of their pending shards; phase 2 (the
+    duplicate verdict) is one more.  A shard is published (``data/`` by
+    rename, then ``manifest.json``) as soon as its rows are written, and a
+    shard whose manifest validates is skipped on restart — lineage +
+    metrics per partition, recompute = 0 for finished shards.  Every
+    manifest records its row count and wall time; phase 1's also its input
+    row groups and content bytes, phase 3's its keep count, per-repo
+    partial counts and per-rule smallest locators.  The report is merged
+    from the phase-3 manifests alone: no file under ``final/`` is read.
     """
     shards = _shard_row_groups(input_paths, num_shards)
     enr_dir = os.path.join(out_dir, "enriched")
     fin_dir = os.path.join(out_dir, "final")
     os.makedirs(enr_dir, exist_ok=True)
     os.makedirs(fin_dir, exist_ok=True)
-    stats = {"shards": len(shards), "phase1_skipped": 0, "phase3_skipped": 0}
 
-    # ---- phase 1: rules + models per shard -------------------------------
-    for k, tasks in enumerate(shards):
-        part = os.path.join(enr_dir, f"part={k}")
-        mpath = os.path.join(part, "manifest.json")
-        if _manifest_ok(mpath):
-            stats["phase1_skipped"] += 1
-            continue
-        t0 = time.time()
-        os.makedirs(part, exist_ok=True)
-        ds = _read_shard(tasks, INPUT_COLUMNS)
-        enriched = enrich(ds, config)
-        rows, files = _write_shard(enriched, part)
-        content_bytes = 0
-        for p in files:
-            md = pq.read_metadata(p)
-            sch = md.schema.to_arrow_schema()
-            ci = sch.get_field_index("content")
-            if ci >= 0:
-                content_bytes += sum(
-                    md.row_group(i).column(ci).total_uncompressed_size
-                    for i in range(md.num_row_groups)
-                )
-        with open(mpath + ".tmp", "w") as f:
-            json.dump(
-                {
-                    "rows": rows,
-                    "inputs": tasks,
-                    "wall_s": round(time.time() - t0, 3),
-                    "content_bytes": content_bytes,
-                },
-                f,
-            )
-        os.replace(mpath + ".tmp", mpath)
+    # ---- phase 1: rules + models -----------------------------------------
+    enr, enr_skipped = _run_phase(
+        enr_dir,
+        [{"rows": sum(t["num_rows"] for t in tasks), "inputs": tasks} for tasks in shards],
+        (),
+        lambda pending: enrich(
+            _read_shard([{**t, "shard": k} for k in pending for t in shards[k]], INPUT_COLUMNS),
+            config,
+        ),
+        _content_bytes,
+        lambda files: {"content_bytes": sum(s["content_bytes"] for s in files)},
+    )
 
     # ---- phase 2: global duplicate verdict over the enriched projection --
     winners_path = os.path.join(out_dir, "winners.json")
@@ -599,52 +741,56 @@ def run_checkpointed(
             with open(winners_path) as f:
                 winners = json.load(f)
         else:
-            proj = ray.data.read_parquet(
-                sorted(glob.glob(os.path.join(enr_dir, "part=*", "data", "*.parquet"))),
-                columns=["content_sha256", "repo", "path"],
-            )
-            winners = duplicate_winners(proj)
+            enriched_files = sorted(glob.glob(os.path.join(enr_dir, "part=*", "data", "*.parquet")))
+            if enriched_files:  # a zero-row input writes none
+                proj = ray.data.read_parquet(
+                    enriched_files, columns=["content_sha256", "repo", "path"]
+                )
+                winners = duplicate_winners(proj)
             with open(winners_path + ".tmp", "w") as f:
                 json.dump(winners, f, sort_keys=True)
             os.replace(winners_path + ".tmp", winners_path)
 
-    # ---- phase 3: dup flag + scrub + keep, per shard ---------------------
-    for k in range(len(shards)):
-        part = os.path.join(fin_dir, f"part={k}")
-        mpath = os.path.join(part, "manifest.json")
-        if _manifest_ok(mpath):
-            stats["phase3_skipped"] += 1
-            continue
-        t0 = time.time()
-        os.makedirs(part, exist_ok=True)
-        src = _shard_files(os.path.join(enr_dir, f"part={k}"))
-        ds = ray.data.read_parquet(src)
-        final = finalize(ds, config, winners)
-        rows, files = _write_shard(final, part)
-        n_keep = 0
-        for p in files:
-            t = pq.read_table(p, columns=["keep"])
-            n_keep += int(pc.sum(t["keep"]).as_py() or 0)
-        with open(mpath + ".tmp", "w") as f:
-            json.dump(
-                {
-                    "rows": rows,
-                    "keep": n_keep,
-                    "wall_s": round(time.time() - t0, 3),
-                },
-                f,
-            )
-        os.replace(mpath + ".tmp", mpath)
+    # ---- phase 3: dup flag + scrub + keep --------------------------------
+    flags = _flag_columns(_final_columns(config))
+    sum_cols = flags + ["n_rows", "n_keep"]
 
-    # ---- report ----------------------------------------------------------
-    final_files = sorted(
-        glob.glob(os.path.join(fin_dir, "part=*", "data", "*.parquet"))
+    def _final_stats(rows: pa.Table, footer: "pq.FileMetaData") -> dict:
+        fails = [c for c in flags if c.startswith("f_")]
+        return {
+            "partials": _repo_partials(rows, flags, True).to_dict("records"),
+            "locators": _merge_locators(_locator_partials(rows, fails)),
+        }
+
+    def _final_summary(files: list[dict]) -> dict:
+        rt, locs = _merge_final_stats(files, sum_cols)
+        keep = int(pc.sum(rt["n_keep"]).as_py() or 0)
+        return {"keep": keep, "partials": rt.to_pylist(), "locators": locs}
+
+    fin, fin_skipped = _run_phase(
+        fin_dir,
+        [{"rows": m["rows"]} for m in enr],
+        ("partials", "locators"),
+        lambda pending: finalize(
+            _read_shard(
+                [
+                    {"path": p, "row_group": None, "shard": k}
+                    for k in pending
+                    for p in _shard_files(os.path.join(enr_dir, f"part={k}"))
+                ],
+                None,
+            ),
+            config,
+            winners,
+        ),
+        _final_stats,
+        _final_summary,
     )
-    final_ds = ray.data.read_parquet(final_files)
-    rt = repo_report(final_ds)
-    locs = locator_samples(final_ds)
+
+    # ---- report: merged from the phase-3 manifests ------------------------
+    rt, locs = _merge_final_stats(fin, sum_cols)
     rep = summary_report(rt, metadata_only=bool(config.metadata_only), locators=locs)
-    rep["run"] = stats
+    rep["run"] = {"shards": len(shards), "phase1_skipped": enr_skipped, "phase3_skipped": fin_skipped}
     with open(os.path.join(out_dir, "report.json"), "w") as f:
         json.dump(rep, f, indent=2)
     return rep

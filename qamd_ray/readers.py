@@ -42,6 +42,7 @@ import pandas as pd
 import pyarrow as pa
 
 from .healthcheck import TableMeta, VariableMeta
+from .kernels import render_values
 from .sources import ROW_COL, _expand
 
 if TYPE_CHECKING:
@@ -93,27 +94,30 @@ def _column_to_arrow(
             False,
         )
     tags: set[str] = set()
-    out: list[str] = []
     # rendering follows the column's true numeric kind: a tagged INTEGER
     # column must keep the bare integer rendering ("10", not "10.0") so
     # string-rendering value identity matches untagged files
     float_like = any(isinstance(v, (float, np.floating)) for v in vals)
-    for v in vals:
+    num = np.fromiter(
+        (isinstance(v, (float, np.floating, int, np.integer)) for v in vals), bool, len(vals)
+    )
+    out = np.empty(len(vals), dtype=object)
+    # the numeric cells render in one vectorized pass
+    typed = vals[num].astype(np.float64 if float_like else np.int64)
+    out[num] = render_values(pa.array(typed)).to_numpy(zero_copy_only=False)
+    for i in np.flatnonzero(~num):
+        v = vals[i]
         if isinstance(v, StataMissingValue):
             t = str(v)
             if t == ".":
-                out.append("")  # system missing renders "" (csv/read.rs:112-115)
+                out[i] = ""  # system missing renders "" (csv/read.rs:112-115)
             else:
                 tags.add(t)
-                out.append(t)
-        elif isinstance(v, (float, np.floating)):
-            out.append(_render_float(float(v)))
-        elif isinstance(v, (int, np.integer)):
-            out.append(_render_float(float(v)) if float_like else str(int(v)))
+                out[i] = t
         elif v is None:
-            out.append("")
+            out[i] = ""
         else:
-            out.append(str(v))
+            out[i] = str(v)
     return pa.array(out, pa.string()), tags, "Numeric", float_like
 
 

@@ -33,7 +33,7 @@ def _expand(paths: str | Sequence[str]) -> list[str]:
     for p in paths:
         if os.path.isdir(p):
             hits: list[str] = []
-            for ext in ("parquet", "dta", "sav", "por", "sas7bdat", "xpt"):
+            for ext in ("parquet", "dta", "sav", "por", "sas7bdat", "xpt", "csv"):
                 hits = sorted(
                     glob.glob(os.path.join(p, "**", f"*.{ext}"), recursive=True)
                 )

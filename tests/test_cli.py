@@ -86,6 +86,56 @@ def test_cli_run_pipeline(tmp_path, ray_session, capsys):
     assert rep["run"]["shards"] == 2
 
 
+def test_cli_run_resume_gives_the_same_report_bytes(tmp_path, ray_session, capsys):
+    """``run`` into an existing output directory after shards were deleted
+    (a manifest, a whole ``part=<k>``) writes the fresh run's report.html
+    bytes, and its report.json bytes but for the ``run`` skip counts."""
+    import shutil
+
+    from qamd_ray.synth import write_corpus
+
+    src = str(tmp_path / "in.parquet")
+    write_corpus(src, n_rows=200, n_repos=5, seed=9, row_group_size=25)
+    out_dir = str(tmp_path / "out")
+    argv = ["run", src, "-o", out_dir, "--num-shards", "4", "--output-format", "html"]
+
+    def read(name):
+        with open(os.path.join(out_dir, name), "rb") as f:
+            return f.read()
+
+    assert main(argv) == 0
+    fresh = read("report.json"), read("report.html")
+    os.remove(os.path.join(out_dir, "final", "part=0", "manifest.json"))
+    shutil.rmtree(os.path.join(out_dir, "enriched", "part=3"))
+    assert main(argv) == 0
+    assert read("report.html") == fresh[1]
+    resumed = json.loads(read("report.json"))
+    assert resumed["run"] == {"shards": 4, "phase1_skipped": 3, "phase3_skipped": 3}
+    fresh_json = json.loads(fresh[0])
+    assert fresh_json["run"]["phase3_skipped"] == 0
+    assert read("report.json") == json.dumps({**fresh_json, "run": resumed["run"]}, indent=2).encode()
+
+
+def test_cli_run_zero_row_input(tmp_path, ray_session, capsys):
+    """``run`` on a zero-row Parquet file writes the streaming pipeline's
+    empty report, not a FileNotFoundError from an unwritten shard."""
+    import ray.data
+
+    from qamd_ray.gen_config import quality_config
+    from qamd_ray.pipeline import INPUT_COLUMNS, quality_pipeline, repo_report, summary_report
+
+    empty = pa.table({c: pa.array([], pa.string()) for c in INPUT_COLUMNS})
+    src = str(tmp_path / "empty.parquet")
+    pq.write_table(empty, src)
+    out_dir = str(tmp_path / "out")
+    assert main(["run", src, "-o", out_dir, "--num-shards", "4"]) == 0
+    with open(os.path.join(out_dir, "report.json")) as f:
+        rep = json.load(f)
+    want = summary_report(repo_report(quality_pipeline(ray.data.from_arrow(empty), quality_config())))
+    assert {k: v for k, v in rep.items() if k != "run"} == want
+    assert rep["metadata"]["row_count"] == 0
+
+
 def test_cli_bad_config(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_text("quality_filter: [unbalanced\n  - : : :")
@@ -93,7 +143,7 @@ def test_cli_bad_config(tmp_path, capsys):
     assert main(["check", "x.parquet", "-c", str(tmp_path / "absent.yaml")]) == 2
 
 
-@pytest.mark.parametrize("ext", ["dta", "sav"])
+@pytest.mark.parametrize("ext", ["dta", "sav", "csv"])
 def test_cli_check_directory_of_stat_files(tmp_path, ext):
     """``check DIR`` reads the statistical files in the directory: its JSON
     is ``health_check`` over the list of those files (the reader is picked
@@ -113,6 +163,8 @@ def test_cli_check_directory_of_stat_files(tmp_path, ext):
             pd.DataFrame({"age": np.array(age, dtype="float64"), "name": name}).to_stata(
                 path, write_index=False, version=117
             )
+        elif ext == "csv":
+            pd.DataFrame({"age": age, "name": name}).to_csv(path, index=False)
         else:
             write_sav(path, {"AGE": age, "NAME": name})
     out = str(tmp_path / "report.json")
@@ -121,6 +173,30 @@ def test_cli_check_directory_of_stat_files(tmp_path, ext):
         got = f.read()
     assert got == health_check(files, default_config()).to_json(indent=2)
     assert json.loads(got)["metadata"]["raw_case_count"] == 6
+    assert json.loads(got)["metadata"]["file_name"] == f"a.{ext}"
+
+
+@pytest.mark.parametrize("ext", ["csv", "parquet"])
+def test_report_named_after_first_expanded_file(tmp_path, ext):
+    """A glob or directory input names its report after the first file it
+    expands to, so BadFileName judges a file name, not ``*.csv``: CLI
+    ``check`` on the glob and on the directory give the list's JSON."""
+    from qamd_ray.gen_config import default_config
+    from qamd_ray.healthcheck import health_check
+
+    d = tmp_path / "in"
+    d.mkdir()
+    files = [str(d / f"{k}.{ext}") for k in ("a", "b")]
+    for k, path in enumerate(files):
+        df = pd.DataFrame({"age": [30 + k, 40], "name": ["x", f"n{k}"]})
+        df.to_csv(path, index=False) if ext == "csv" else df.to_parquet(path, index=False)
+    want = health_check(files, default_config()).to_json(indent=2)
+    assert json.loads(want)["metadata"]["file_name"] == f"a.{ext}"
+    for arg in (str(d / f"*.{ext}"), str(d)):
+        out = str(tmp_path / "report.json")
+        assert main(["check", arg, "-o", out]) == 0
+        with open(out) as f:
+            assert f.read() == want, arg
 
 
 def test_cli_init_scaffold(tmp_path, capsys):

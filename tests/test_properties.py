@@ -138,6 +138,27 @@ def test_line_length_stats_match_scalar(texts):
         assert c == len(lines)
 
 
+# finite floats (and NaN) mixed with the edges of the "<int>.0" rule:
+# signed zero, 1e16 and its neighbours, and integers around 2**53
+EDGE_FLOATS = [-0.0, 0.0, 1e16, -1e16, 9999999999999998.0, 2.0**53, 2.0**53 - 1,
+               2.0**53 + 2, -(2.0**53), 0.5, -1.5, 1e-300, float("nan")]
+FLOATS = st.one_of(
+    st.floats(allow_infinity=False),
+    st.sampled_from(EDGE_FLOATS),
+    st.integers(-(2**60), 2**60).map(float),
+)
+
+
+@given(st.lists(FLOATS, max_size=24))
+@settings(max_examples=100, deadline=None)
+def test_render_float_values_match_scalar(values):
+    """The vectorized float rendering equals the scalar rule element-wise."""
+    from qamd_ray.readers import _render_float
+
+    got = K.render_values(pa.array(values, pa.float64())).to_pylist()
+    assert got == [_render_float(v) for v in values]
+
+
 @given(st.lists(st.text(string.ascii_lowercase + " .,!", max_size=60), min_size=1, max_size=12))
 @settings(max_examples=60, deadline=None)
 def test_dictionary_kernels_match_scalar(texts):

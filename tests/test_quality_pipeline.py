@@ -3,11 +3,13 @@ invariants, checkpoint/resume — mirrors the reference's e2e fixture
 anchoring (src/readstat/read.rs:141-194) with the graft's synthetic corpus.
 """
 
+import glob
 import hashlib
 import json
 import os
 import shutil
 
+import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
@@ -18,6 +20,7 @@ import ray.data
 from qamd_ray.gen_config import quality_config
 from qamd_ray.oracle import oracle_labels
 from qamd_ray.pipeline import (
+    enrich,
     quality_pipeline,
     repo_report,
     run_checkpointed,
@@ -178,10 +181,120 @@ def test_checkpointed_run_and_resume(tmp_path, cfg):
     assert {k: (v["pass"], v["fail"]) for k, v in rep2["summary"].items()} == {
         k: (v["pass"], v["fail"]) for k, v in rep["summary"].items()
     }
+    # the whole report, locators included, is the uninterrupted one
+    assert _body(rep2) == _body(rep)
     # manifests carry lineage + metrics
     with open(os.path.join(out, "enriched", "part=0", "manifest.json")) as f:
         m = json.load(f)
     assert m["rows"] > 0 and m["inputs"] and "wall_s" in m and m["content_bytes"] > 0
+
+
+def _body(rep: dict) -> dict:
+    return {k: v for k, v in rep.items() if k != "run"}
+
+
+def _manifest_stamps(out: str) -> dict:
+    stamps = {}
+    for phase in ("enriched", "final"):
+        for part in sorted(os.listdir(os.path.join(out, phase))):
+            st = os.stat(os.path.join(out, phase, part, "manifest.json"))
+            stamps[f"{phase}/{part}"] = (st.st_mtime_ns, st.st_ino)
+    return stamps
+
+
+@pytest.fixture(scope="module")
+def checkpointed(tmp_path_factory, cfg):
+    """A 4-shard checkpointed run over 400 rows: (input, out_dir, report)."""
+    d = tmp_path_factory.mktemp("ckpt")
+    src = str(d / "in.parquet")
+    write_corpus(src, n_rows=400, n_repos=8, seed=13, row_group_size=50)
+    out = str(d / "out")
+    return src, out, run_checkpointed(src, out, cfg, num_shards=4)
+
+
+def test_resume_after_manifest_deletion(tmp_path, cfg, checkpointed):
+    """Deleting manifests (1 of 4 enriched, 2 of 4 final, as the benchmark
+    does) recomputes exactly those shards, and the resumed report is the
+    uninterrupted one, locators included."""
+    src, out0, rep = checkpointed
+    out = str(tmp_path / "out")
+    shutil.copytree(out0, out)
+    before = _manifest_stamps(out)
+    gone = {"enriched/part=1", "final/part=1", "final/part=3"}
+    for rel in gone:
+        os.remove(os.path.join(out, rel, "manifest.json"))
+    rep2 = run_checkpointed(src, out, cfg, num_shards=4)
+    assert rep2["run"] == {"shards": 4, "phase1_skipped": 3, "phase3_skipped": 2}
+    after = _manifest_stamps(out)
+    assert set(after) == set(before)
+    assert {k for k in after if after[k] != before[k]} == gone
+    assert _body(rep2) == _body(rep)
+    assert any(e.get("locators") for e in rep["summary"].values())
+
+
+def test_old_layout_final_manifest_is_recomputed(tmp_path, cfg, checkpointed):
+    """A final manifest without per-repo partials (the earlier layout) does
+    not validate: that shard is recomputed and the report is unchanged."""
+    src, out0, rep = checkpointed
+    out = str(tmp_path / "out")
+    shutil.copytree(out0, out)
+    mpath = os.path.join(out, "final", "part=2", "manifest.json")
+    with open(mpath) as f:
+        m = json.load(f)
+    with open(mpath, "w") as f:
+        json.dump({"rows": m["rows"], "keep": m["keep"], "wall_s": m["wall_s"]}, f)
+    rep2 = run_checkpointed(src, out, cfg, num_shards=4)
+    assert rep2["run"] == {"shards": 4, "phase1_skipped": 4, "phase3_skipped": 3}
+    with open(mpath) as f:
+        assert "partials" in json.load(f)
+    assert _body(rep2) == _body(rep)
+
+
+def test_checkpointed_shards_hold_the_pipeline_rows(cfg, checkpointed):
+    """Each shard's Parquet rows are the streaming pipeline's rows of that
+    shard's input row groups, with the same columns and no shard column;
+    the report equals repo_report + locator_samples over final/."""
+    src, out, rep = checkpointed
+    want_final = quality_pipeline(src, cfg).to_pandas()
+    want_enriched = enrich(ray.data.read_parquet(src), cfg).to_pandas()
+    files = []
+    for k in range(4):
+        with open(os.path.join(out, "enriched", f"part={k}", "manifest.json")) as f:
+            inputs = json.load(f)["inputs"]
+        keys = set()
+        for t in inputs:
+            rg = pq.ParquetFile(t["path"]).read_row_group(t["row_group"], columns=["repo", "path"])
+            keys |= set(zip(rg["repo"].to_pylist(), rg["path"].to_pylist()))
+        for phase, want in (("enriched", want_enriched), ("final", want_final)):
+            part = sorted(glob.glob(os.path.join(out, phase, f"part={k}", "data", "*.parquet")))
+            got = pa.concat_tables([pq.read_table(p) for p in part]).to_pandas()
+            assert list(got.columns) == list(want.columns)
+            mine = want[[(r, p) in keys for r, p in zip(want["repo"], want["path"])]]
+            pd.testing.assert_frame_equal(
+                got.sort_values(["repo", "path"]).reset_index(drop=True),
+                mine.sort_values(["repo", "path"]).reset_index(drop=True),
+            )
+            if phase == "final":
+                files += part
+    final = ray.data.read_parquet(files, partitioning=None)
+    assert _body(rep) == summary_report(repo_report(final), locators=locator_samples(final))
+
+
+def test_zero_row_input_checkpointed(tmp_path, corpus, cfg):
+    """A zero-row Parquet input (one empty row group) publishes empty
+    shards that validate on resume; the report is the streaming
+    pipeline's empty report."""
+    empty = strip_labels(corpus).slice(0, 0)
+    src = str(tmp_path / "empty.parquet")
+    pq.write_table(empty, src)
+    out = str(tmp_path / "out")
+    rep = run_checkpointed(src, out, cfg, num_shards=4)
+    want = summary_report(repo_report(quality_pipeline(ray.data.from_arrow(empty), cfg)))
+    assert _body(rep) == want
+    assert rep["run"] == {"shards": 1, "phase1_skipped": 0, "phase3_skipped": 0}
+    rep2 = run_checkpointed(src, out, cfg, num_shards=4)
+    assert rep2["run"] == {"shards": 1, "phase1_skipped": 1, "phase3_skipped": 1}
+    assert _body(rep2) == want
 
 
 def test_winners_json_bytes_are_stable(tmp_path, cfg):
