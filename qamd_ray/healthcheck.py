@@ -462,7 +462,7 @@ def _flag_freq(freq: pa.Table, meta: TableMeta, config: Config) -> pa.Table:
         cols["odd_fail"] = pa.array(hit & is_text)
     # C7 ValueLabelMaxLength over the value's label (post.rs:132-166)
     if vmax is not None:
-        lab_len = np.array([len(l.encode("utf-8")) for l in labels])
+        lab_len = np.asarray(pc.binary_length(cols["label"]))
         cols["label_len_fail"] = pa.array(lab_len > vmax)
     # C15 ValueRegexPatterns: any pattern matches value OR label
     # (post.rs:354-391). Vectorized RE2 match per pattern (the Rust

@@ -4,6 +4,14 @@ Each function here is the pyarrow.compute (or numpy) equivalent of a scalar
 helper in the reference, applied to a whole Arrow array at once — these are
 the bodies used inside ``map_batches(batch_format="pyarrow")`` stages.
 
+Per-byte work reads a string array's offsets and values buffers directly
+(``_string_buffers``): a 256-entry byte table maps every content byte in
+one numpy pass, and per-row counts come from ``np.add.reduceat`` over the
+row offsets — no regex replace and no per-row Python.  An ASCII byte never
+occurs inside a multi-byte UTF-8 sequence, so dropping ASCII bytes keeps a
+buffer valid UTF-8.  Token membership hashes the tokens against an Arrow
+array of the word set (``pc.is_in``), built once per word set.
+
 Reference semantics reimplemented (not ported):
 * ``contains_any``      — substring-any ``contains`` src/check/mod.rs:94-99
 * ``normalize_words``   — strip ASCII punctuation + lowercase,
@@ -16,12 +24,12 @@ Reference semantics reimplemented (not ported):
 
 from __future__ import annotations
 
+import functools
 import re
 import string
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -41,6 +49,23 @@ def _as_array(arr) -> pa.Array:
     if isinstance(arr, pa.ChunkedArray):
         return arr.combine_chunks()
     return arr
+
+
+def _string_buffers(arr: pa.Array) -> tuple[np.ndarray, np.ndarray]:
+    """(offsets, values) of a non-empty string or binary array as numpy
+    views: the array's own ``len + 1`` offsets (its slice offset applied)
+    and the whole values buffer as uint8."""
+    t = arr.type
+    if pa.types.is_large_string(t) or pa.types.is_large_binary(t):
+        odt = np.int64
+    elif pa.types.is_string(t) or pa.types.is_binary(t):
+        odt = np.int32
+    else:
+        raise TypeError(f"unsupported type {t}")
+    bufs = arr.buffers()
+    offs = np.frombuffer(bufs[1], dtype=odt, count=len(arr) + 1 + arr.offset)[arr.offset :]
+    data = np.frombuffer(bufs[2], dtype=np.uint8) if bufs[2] is not None else np.zeros(0, np.uint8)
+    return offs, data
 
 
 def digest_rows(arr, algo: str = "sha256") -> list[str]:
@@ -64,19 +89,8 @@ def digest_rows(arr, algo: str = "sha256") -> list[str]:
         n = len(ch)
         if n == 0:
             continue
-        t = ch.type
-        if pa.types.is_large_string(t) or pa.types.is_large_binary(t):
-            odt = np.int64
-        elif pa.types.is_string(t) or pa.types.is_binary(t):
-            odt = np.int32
-        else:
-            raise TypeError(f"digest_rows: unsupported type {t}")
-        bufs = ch.buffers()
-        # offsets buffer includes the chunk's logical offset; slice past it
-        offs = np.frombuffer(bufs[1], dtype=odt, count=n + 1 + ch.offset)[
-            ch.offset :
-        ]
-        data = memoryview(bufs[2]) if bufs[2] is not None else memoryview(b"")
+        offs, values = _string_buffers(ch)
+        data = memoryview(values)
         if ch.null_count:
             valid = ~np.asarray(ch.is_null())
             out.extend(
@@ -102,13 +116,44 @@ def contains_any(arr: pa.Array, patterns: Sequence[str]) -> pa.Array:
     return pc.match_substring_regex(arr, odd_chars_regex(patterns))
 
 
+def fold_alternation(patterns: Sequence[str]) -> list[str]:
+    """The regexes to run for "any of ``patterns`` matches": the one RE2
+    alternation ``(?:p1)|(?:p2)|…`` when RE2 compiles it, else the
+    patterns themselves.  Each pattern's inline flags (``(?i)``) and
+    anchors stay inside its own group.  A pattern holding ``\\Q`` is not
+    folded: its quoted literal runs to the next ``\\E``, past the group."""
+    folded = "|".join("(?:" + p + ")" for p in patterns)
+    if len(patterns) > 1 and not any("\\Q" in p for p in patterns) and re2_compiles(folded):
+        return [folded]
+    return list(patterns)
+
+
+def re2_compiles(pattern: str) -> bool:
+    """Whether Arrow's regex kernels (RE2) accept ``pattern``."""
+    try:
+        pc.match_substring_regex(pa.array([""], pa.string()), pattern)
+    except pa.ArrowInvalid:
+        return False
+    return True
+
+
+def match_any(arr: pa.Array, patterns: Sequence[str]) -> np.ndarray:
+    """Rows of ``arr`` (nulls as no match) where any regex of ``patterns``
+    matches, one RE2 pass per pattern."""
+    hit = np.zeros(len(arr), dtype=bool)
+    for p in patterns:
+        hit |= np.asarray(_as_array(pc.match_substring_regex(arr, p)).fill_null(False))
+    return hit
+
+
 # ---------------------------------------------------------------------------
 # word normalization + token membership (dictionary checks)
 # ---------------------------------------------------------------------------
 
 _ASCII_PUNCT = string.punctuation  # == Rust char::is_ascii_punctuation set
-_PUNCT_RE = "[" + re.escape(_ASCII_PUNCT) + "]"
 _PUNCT_TABLE = str.maketrans("", "", _ASCII_PUNCT)
+_PUNCT_BYTE = np.zeros(256, dtype=bool)
+_PUNCT_BYTE[list(_ASCII_PUNCT.encode())] = True
 
 
 def normalize_word(word: str) -> str:
@@ -117,8 +162,26 @@ def normalize_word(word: str) -> str:
 
 
 def normalize_words(arr: pa.Array) -> pa.Array:
-    """Strip ASCII punctuation, lowercase — vectorized."""
-    return pc.utf8_lower(pc.replace_substring_regex(arr, _PUNCT_RE, ""))
+    """Strip ASCII punctuation, lowercase — vectorized.  The strip is one
+    byte-table lookup over the values buffer: the kept bytes, new offsets
+    from their cumsum, the validity bitmap kept."""
+    arr = _as_array(arr)
+    if len(arr) == 0:
+        return pc.utf8_lower(arr)
+    offs, data = _string_buffers(arr)
+    data = data[offs[0] : offs[-1]]
+    keep = ~_PUNCT_BYTE[data]
+    kept = np.concatenate([np.zeros(1, offs.dtype), np.cumsum(keep, dtype=offs.dtype)])
+    validity = None
+    if arr.null_count:
+        validity = pa.py_buffer(np.packbits(np.asarray(arr.is_valid()), bitorder="little"))
+    stripped = pa.Array.from_buffers(
+        arr.type,
+        len(arr),
+        [validity, pa.py_buffer(kept[offs - offs[0]]), pa.py_buffer(data[keep])],
+        null_count=arr.null_count,
+    )
+    return pc.utf8_lower(stripped)
 
 
 def only_contains(s: str, words: frozenset[str] | set[str]) -> bool:
@@ -134,15 +197,34 @@ def _token_membership(arr: pa.Array, words: frozenset[str]):
     """
     toks = _as_array(pc.split_pattern(pc.fill_null(_as_array(arr), ""), " "))
     flat = toks.flatten()
-    if len(flat) == 0:
-        known = np.zeros(0, dtype=bool)
-    else:
-        # pandas-backed hashed membership: far faster than np.isin on objects
-        import pandas as pd
-
-        known = pd.Index(np.asarray(flat, dtype=object)).isin(words)
+    known = np.asarray(pc.is_in(flat, value_set=_word_array(words).cast(flat.type)))
     offsets = np.asarray(toks.offsets)
     return known, offsets[:-1], offsets[1:]
+
+
+@functools.lru_cache(maxsize=8)
+def _word_array(words: frozenset[str]) -> pa.Array:
+    """The word set as an Arrow array, built once per word set (the
+    frozenset caches its own hash, so a repeat lookup is cheap)."""
+    return pa.array(sorted(words), pa.string())
+
+
+@functools.lru_cache(maxsize=8)
+def _foreign_bytes(words: frozenset[str]) -> np.ndarray:
+    """uint8 table of the raw bytes that normalize into no word of
+    ``words``: ASCII bytes other than punctuation (stripped), the " "
+    separator and the bytes of the words themselves, with each ASCII
+    letter judged by its lowercase.  A raw value holding one has a token
+    outside ``words``.  No byte ≥ 0x80 is foreign, since ``utf8_lower``
+    maps some non-ASCII code points to ASCII (U+212A → "k")."""
+    inside = np.zeros(256, dtype=bool)
+    inside[list("".join(words).encode())] = True
+    upper, lower = slice(ord("A"), ord("Z") + 1), slice(ord("a"), ord("z") + 1)
+    inside[upper] |= inside[lower]
+    inside |= _PUNCT_BYTE
+    inside[ord(" ")] = True
+    inside[0x80:] = True
+    return (~inside).astype(np.uint8)
 
 
 def tokens_all_in_set(arr: pa.Array, words: frozenset[str]) -> np.ndarray:
@@ -172,21 +254,35 @@ def unknown_token_ratio(arr: pa.Array, words: frozenset[str]) -> np.ndarray:
     return ratio
 
 
+def _empty_and_all_known(arr: pa.Array, words: frozenset[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Per raw value: (its normalized value is empty, every token of it is
+    in ``words``).  A value holding a ``_foreign_bytes`` byte is neither,
+    and only the other values are normalized and tokenized."""
+    arr = _as_array(arr)
+    empty = np.zeros(len(arr), dtype=bool)
+    allin = np.zeros(len(arr), dtype=bool)
+    maybe = _byte_counts(arr, [_foreign_bytes(words)])[0] == 0
+    if arr.null_count:
+        maybe |= np.asarray(arr.is_null())
+    rows = np.nonzero(maybe)[0]
+    if len(rows):
+        norm = _as_array(normalize_words(arr.take(pa.array(rows))))
+        empty[rows] = np.asarray(pc.equal(norm, "").fill_null(True))
+        allin[rows] = tokens_all_in_set(norm, words)
+    return empty, allin
+
+
 def spellcheck_ok(arr: pa.Array, words: frozenset[str]) -> np.ndarray:
     """dictionary.rs:15-17: pass iff normalized value is empty OR every
     token is a known word. ``arr`` is the RAW (unnormalized) string array."""
-    norm = _as_array(normalize_words(_as_array(arr)))
-    empty = np.asarray(pc.equal(norm, "").fill_null(True))
-    allin = tokens_all_in_set(norm, words)
+    empty, allin = _empty_and_all_known(arr, words)
     return empty | allin
 
 
 def stopword_ok(arr: pa.Array, words: frozenset[str]) -> np.ndarray:
     """dictionary.rs:22-24: pass iff normalized value is empty OR at least
     one token is NOT a stopword (fails only when ALL tokens are stopwords)."""
-    norm = _as_array(normalize_words(_as_array(arr)))
-    empty = np.asarray(pc.equal(norm, "").fill_null(True))
-    allin = tokens_all_in_set(norm, words)
+    empty, allin = _empty_and_all_known(arr, words)
     return empty | ~allin
 
 
@@ -195,18 +291,55 @@ def stopword_ok(arr: pa.Array, words: frozenset[str]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def char_class_ratio(arr: pa.Array, class_regex: str) -> np.ndarray:
-    """Fraction of characters matching a regex char class, per string.
+def _byte_counts(arr: pa.Array, tables: Sequence[np.ndarray]) -> np.ndarray:
+    """(len(tables), len(arr)) int64: per table and row, the sum of
+    ``table[byte]`` over the row's bytes.  Each uint8 table maps the values
+    buffer once (``take``); ``np.add.reduceat`` sums per non-empty row."""
+    counts = np.zeros((len(tables), len(arr)), dtype=np.int64)
+    if len(arr) == 0:
+        return counts
+    offs, data = _string_buffers(arr)
+    rows = np.nonzero(offs[1:] > offs[:-1])[0]
+    if len(rows):
+        data = data[offs[0] : offs[-1]]
+        starts = offs[rows] - offs[0]
+        for table, out in zip(tables, counts):
+            out[rows] = np.add.reduceat(table.take(data), starts, dtype=np.int64)
+    return counts
 
-    ratio = (len - len(with class removed)) / len ; 0.0 for empty/null.
-    Vectorized via two utf8_length calls + one replace.
+
+_BYTE = np.arange(256)
+_TAB_NL_CR = np.isin(_BYTE, (0x09, 0x0A, 0x0D))
+# rows: printable [\x20-\x7e\t\n\r], C0 control but \t\n\r, ASCII alnum
+_BYTE_CLASSES = np.stack(
+    [
+        ((_BYTE >= 0x20) & (_BYTE <= 0x7E)) | _TAB_NL_CR,
+        (_BYTE < 0x20) & ~_TAB_NL_CR,
+        np.isin(_BYTE, list((string.ascii_letters + string.digits).encode())),
+    ]
+).astype(np.uint8)
+
+
+def char_class_ratios(arr: pa.Array) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    r"""Per-string (odd, control, alnum) character ratios: the share of
+    code points outside ``[\x20-\x7e\t\n\r]``, in
+    ``[\x00-\x08\x0b\x0c\x0e-\x1f]`` and in ``[A-Za-z0-9]``; 0.0 for
+    empty/null strings.
+
+    Every class but "odd" holds ASCII bytes only, and each of those is one
+    code point, so the counts are byte counts (``_byte_counts``).  A
+    non-ASCII code point is never printable, so odd = code points −
+    printable bytes, with code points from ``utf8_length``.
     """
     arr = _as_array(arr)
-    total = np.asarray(pc.utf8_length(arr).fill_null(0), dtype=np.float64)
-    stripped = pc.replace_substring_regex(arr, class_regex, "")
-    kept = np.asarray(pc.utf8_length(stripped).fill_null(0), dtype=np.float64)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(total > 0, (total - kept) / np.maximum(total, 1), 0.0)
+    cps = np.asarray(pc.utf8_length(arr).fill_null(0), dtype=np.int64)
+    printable, control, alnum = _byte_counts(arr, _BYTE_CLASSES)
+
+    def ratio(k: np.ndarray) -> np.ndarray:
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return np.where(cps > 0, k / np.maximum(cps, 1), 0.0)
+
+    return ratio(cps - printable), ratio(control), ratio(alnum)
 
 
 def line_length_stats(arr: pa.Array) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

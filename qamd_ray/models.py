@@ -16,7 +16,9 @@ published algorithms (public knowledge only):
 
 Both are trained at construction time from the deterministic synthetic
 corpus (synth.clean_samples — fixed seed, no external data), so every
-worker builds byte-identical weights.
+worker builds byte-identical weights.  The corpus is generated once per
+process (``_training_bytes``) for both models, and the n-gram tables are
+counted with ``np.bincount``.
 
 These are the pipeline's ONLY stateful stages (SURVEY.md §7).  They run
 as plain tasks: the ``ModelScorers`` callable carries only thresholds; the
@@ -27,6 +29,7 @@ spin-up, elastic scaling.
 
 from __future__ import annotations
 
+import functools
 from typing import Optional, Sequence
 
 import numpy as np
@@ -42,6 +45,22 @@ _CACHE: dict = {}
 
 def _bytes_of(s: str) -> np.ndarray:
     return np.frombuffer(s.encode("utf-8", "replace"), dtype=np.uint8)
+
+
+@functools.lru_cache(maxsize=2)
+def _training_bytes(samples_per_lang: int, seed: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    """Byte arrays of the ``clean_samples`` training corpus, one tuple per
+    language in ``sorted(LANGS)`` order; generated once per process and
+    shared by both models (each array is read-only)."""
+    out = []
+    for lang in sorted(LANGS):
+        texts = []
+        for text in clean_samples(lang, samples_per_lang, seed=seed):
+            b = _bytes_of(text)
+            b.flags.writeable = False
+            texts.append(b)
+        out.append(tuple(texts))
+    return tuple(out)
 
 
 def _trigram_hashes(b: np.ndarray, dim: int) -> np.ndarray:
@@ -75,12 +94,15 @@ class LangIdModel:
 
     def __init__(self):
         self.classes = sorted(LANGS)
-        counts = np.zeros((len(self.classes), self.DIM), dtype=np.float64)
-        for i, lang in enumerate(self.classes):
-            for text in clean_samples(lang, self.SAMPLES_PER_LANG, seed=self.SEED):
-                h = _trigram_hashes(_bytes_of(text), self.DIM)
-                if len(h):
-                    np.add.at(counts[i], h, 1.0)
+        counts = np.stack(
+            [
+                np.bincount(
+                    np.concatenate([_trigram_hashes(b, self.DIM) for b in texts]),
+                    minlength=self.DIM,
+                )
+                for texts in _training_bytes(self.SAMPLES_PER_LANG, self.SEED)
+            ]
+        ).astype(np.float64)
         totals = counts.sum(axis=1, keepdims=True)
         logp = np.log(counts + self.ALPHA) - np.log(totals + self.ALPHA * self.DIM)
         self.logp = logp.astype(np.float32)
@@ -130,27 +152,17 @@ class PerplexityModel:
 
     def __init__(self):
         dim3, dim2 = self.DIM3, self.DIM2
-        corpus = [
-            t for l in LANGS for t in clean_samples(l, self.SAMPLES_PER_LANG, seed=self.SEED)
+        per_text = [
+            (*_ppl_hashes(x, dim3, dim2), x[:-1], x)
+            for texts in _training_bytes(self.SAMPLES_PER_LANG, self.SEED)
+            for x in (b.astype(np.int64) for b in texts if len(b) >= 3)
         ]
-        t3 = np.zeros(dim3, dtype=np.float64)  # count(c1 c2 c)
-        c2 = np.zeros(dim2, dtype=np.float64)  # count(c1 c2 ·)
-        b2 = np.zeros(dim2, dtype=np.float64)  # count(c1 c)
-        c1 = np.zeros(256, dtype=np.float64)   # count(c1 ·)
-        u1 = np.zeros(256, dtype=np.float64)   # count(c)
-        for text in corpus:
-            b = _bytes_of(text)
-            if len(b) < 3:
-                continue
-            x = b.astype(np.int64)
-            h3, hc2, hb2 = _ppl_hashes(x, dim3, dim2)
-            np.add.at(t3, h3, 1.0)
-            np.add.at(c2, hc2, 1.0)
-            np.add.at(b2, hb2, 1.0)
-            np.add.at(c1, x[:-1], 1.0)
-            np.add.at(u1, x, 1.0)
-        self.t3, self.c2, self.b2, self.c1, self.u1 = t3, c2, b2, c1, u1
-        self.total = u1.sum()
+        # count(c1 c2 c), count(c1 c2 ·), count(c1 c), count(c1 ·), count(c)
+        self.t3, self.c2, self.b2, self.c1, self.u1 = (
+            np.bincount(np.concatenate(col), minlength=dim).astype(np.float64)
+            for col, dim in zip(zip(*per_text), (dim3, dim2, dim2, 256, 256))
+        )
+        self.total = self.u1.sum()
 
     @classmethod
     def default(cls) -> "PerplexityModel":

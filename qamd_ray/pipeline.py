@@ -547,15 +547,29 @@ def _shard_files(part_dir: str) -> list[str]:
     return sorted(glob.glob(os.path.join(part_dir, "data", "*.parquet")))
 
 
-def _valid_manifest(part_dir: str, keys: Sequence[str]) -> Optional[dict]:
+def _config_digest(config: Config) -> str:
+    """sha256 of the resolved config, every section and setting included."""
+    import dataclasses
+    import hashlib
+
+    body = json.dumps(dataclasses.asdict(config), sort_keys=True, default=repr)
+    return hashlib.sha256(body.encode()).hexdigest()
+
+
+def _valid_manifest(part_dir: str, keys: Sequence[str], config: str) -> Optional[dict]:
     """The shard's manifest if the shard is complete, else None.  Complete:
-    the manifest parses, carries every key of ``keys``, and the Parquet row
-    counts of ``data/`` (metadata only — no data read) sum to its ``rows``
-    (an empty shard has an empty ``data/``)."""
+    the manifest parses, carries every key of ``keys``, was written under
+    the config whose digest is ``config``, and the Parquet row counts of
+    ``data/`` (metadata only — no data read) sum to its ``rows`` (an empty
+    shard has an empty ``data/``)."""
     try:
         with open(os.path.join(part_dir, "manifest.json")) as f:
             m = json.load(f)
-        if not os.path.isdir(os.path.join(part_dir, "data")) or any(k not in m for k in keys):
+        if (
+            not os.path.isdir(os.path.join(part_dir, "data"))
+            or any(k not in m for k in keys)
+            or m.get("config") != config
+        ):
             return None
         rows = sum(pq.read_metadata(p).num_rows for p in _shard_files(part_dir))
         return m if rows == m["rows"] else None
@@ -615,8 +629,9 @@ def _run_phase(
     """One checkpoint phase → (every shard's manifest, shards skipped).
 
     ``heads[k]`` starts shard k's manifest; its ``rows`` is the row count
-    the shard must reach.  A shard whose manifest validates (and carries
-    ``keys``) is skipped.  ``job(pending)`` builds ONE Dataset over all
+    the shard must reach and its ``config`` the run's config digest.  A
+    shard whose manifest validates (carries ``keys`` and that digest) is
+    skipped.  ``job(pending)`` builds ONE Dataset over all
     pending shards, whose rows carry ``SHARD_COL``; a writer stage ends it.
     The writer writes each shard's rows of a batch to one Parquet file in
     that shard's ``part=<k>/.data.tmp/`` and returns one small row per
@@ -652,7 +667,11 @@ def _run_phase(
 
     t0 = time.time()
     parts = [os.path.join(phase_dir, f"part={k}") for k in range(len(heads))]
-    done = {k: m for k, p in enumerate(parts) if (m := _valid_manifest(p, keys)) is not None}
+    done = {
+        k: m
+        for k, p in enumerate(parts)
+        if (m := _valid_manifest(p, keys, heads[k]["config"])) is not None
+    }
     skipped = len(done)
     pending = [k for k in range(len(heads)) if k not in done]
     for k in pending:
@@ -708,12 +727,15 @@ def run_checkpointed(
     rename, then ``manifest.json``) as soon as its rows are written, and a
     shard whose manifest validates is skipped on restart — lineage +
     metrics per partition, recompute = 0 for finished shards.  Every
-    manifest records its row count and wall time; phase 1's also its input
+    manifest records its row count, wall time and the digest of the config
+    it was written under (a manifest of another config, or of none, does
+    not validate, so that shard is recomputed); phase 1's also its input
     row groups and content bytes, phase 3's its keep count, per-repo
     partial counts and per-rule smallest locators.  The report is merged
     from the phase-3 manifests alone: no file under ``final/`` is read.
     """
     shards = _shard_row_groups(input_paths, num_shards)
+    digest = _config_digest(config)
     enr_dir = os.path.join(out_dir, "enriched")
     fin_dir = os.path.join(out_dir, "final")
     os.makedirs(enr_dir, exist_ok=True)
@@ -722,7 +744,10 @@ def run_checkpointed(
     # ---- phase 1: rules + models -----------------------------------------
     enr, enr_skipped = _run_phase(
         enr_dir,
-        [{"rows": sum(t["num_rows"] for t in tasks), "inputs": tasks} for tasks in shards],
+        [
+            {"rows": sum(t["num_rows"] for t in tasks), "config": digest, "inputs": tasks}
+            for tasks in shards
+        ],
         (),
         lambda pending: enrich(
             _read_shard([{**t, "shard": k} for k in pending for t in shards[k]], INPUT_COLUMNS),
@@ -769,7 +794,7 @@ def run_checkpointed(
 
     fin, fin_skipped = _run_phase(
         fin_dir,
-        [{"rows": m["rows"]} for m in enr],
+        [{"rows": m["rows"], "config": digest} for m in enr],
         ("partials", "locators"),
         lambda pending: finalize(
             _read_shard(

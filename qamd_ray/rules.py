@@ -11,10 +11,15 @@ which appends one boolean flag column ``f_<name>`` to the batch.
 Everything here is stateless and vectorized (pyarrow.compute / numpy over
 whole Arrow arrays — no per-row Python in the hot path except sha256, which
 has no vectorized kernel and is hashed straight from the Arrow values
-buffer by ``kernels.digest_rows``).  The stage is a plain ``map_batches``
-task: ``ds.map_batches(RowRules(config), batch_format="pyarrow")``;
-regexes are compiled once driver-side in ``RowRules.__init__`` and
-shipped with the serialized callable.
+buffer by ``kernels.digest_rows``).  The content bytes are read in a few
+whole-buffer passes: the three character-class ratios come from one
+byte-class count (``kernels.char_class_ratios``), the date literals from
+one RE2 alternation of every date regex, folded once in
+``RowRules.__init__``, and the dictionary rules from one byte-table
+punctuation strip, one lowercase and one hashed token-membership test.
+The stage is a plain ``map_batches`` task:
+``ds.map_batches(RowRules(config), batch_format="pyarrow")``; its state
+(patterns, thresholds, word sets) ships with the serialized callable.
 
 Rule → reference-check lineage is documented per entry (file:line into
 /root/reference). ``drops=True`` rules feed the keep/drop decision; flag-only
@@ -34,12 +39,6 @@ import pyarrow.compute as pc
 from . import kernels as K
 from .config import Config
 from .synth import TOXICITY_LEXICON
-
-# content chars counted "odd": anything outside printable ASCII + \t\n\r
-ODD_CHAR_CLASS = r"[^\x20-\x7e\t\n\r]"
-# C0 control chars except \t\n\r
-CONTROL_CHAR_CLASS = r"[\x00-\x08\x0b\x0c\x0e-\x1f]"
-ALNUM_CLASS = r"[A-Za-z0-9]"
 
 # Stata/SPSS date-format specifier flavor, generalized to content-level
 # date/timestamp literals (reference checks the variable's value_format
@@ -123,9 +122,9 @@ class RowRules:
         self.alnum_min = g("alnum_ratio_min")
         dr = g("date_format")
         if isinstance(dr, (list, tuple)) and dr and all(isinstance(p, str) for p in dr):
-            self.date_res = list(dr)
+            self.date_res = K.fold_alternation(dr)
         else:  # bool True / anything else → built-in bank
-            self.date_res = list(DATE_REGEXES)
+            self.date_res = K.fold_alternation(DATE_REGEXES)
         self.stop_words: Optional[frozenset] = None
         if g("stopword_only") is not None:
             v = g("stopword_only")
@@ -143,7 +142,6 @@ class RowRules:
     def __call__(self, batch: pa.Table) -> pa.Table:
         content = K._as_array(pc.fill_null(batch["content"], ""))
         path = K._as_array(pc.fill_null(batch["path"], ""))
-        n = len(batch)
 
         # sha256 of original content bytes (input_hint invariant key)
         sha = K.digest_rows(content, "sha256")
@@ -179,13 +177,13 @@ class RowRules:
             cols[flag_col("content_odd")] = pa.array(
                 np.asarray(K._as_array(K.contains_any(content, self.content_odd)).fill_null(False))
             )
+        if e & {"odd_ratio", "control_ratio", "alnum"}:
+            odd_ratio, control_ratio, alnum_ratio = K.char_class_ratios(content)
         if "odd_ratio" in e:
-            ratio = K.char_class_ratio(content, ODD_CHAR_CLASS)
-            cols["odd_char_ratio"] = pa.array(ratio)
-            cols[flag_col("odd_ratio")] = pa.array(ratio > float(self.odd_ratio_max))
+            cols["odd_char_ratio"] = pa.array(odd_ratio)
+            cols[flag_col("odd_ratio")] = pa.array(odd_ratio > float(self.odd_ratio_max))
         if "control_ratio" in e:
-            ratio = K.char_class_ratio(content, CONTROL_CHAR_CLASS)
-            cols[flag_col("control_ratio")] = pa.array(ratio > float(self.control_ratio_max))
+            cols[flag_col("control_ratio")] = pa.array(control_ratio > float(self.control_ratio_max))
         if "line_len" in e:
             cols[flag_col("line_len")] = pa.array(max_line > int(self.max_line))
         if "avg_line_len" in e:
@@ -195,17 +193,11 @@ class RowRules:
         if "max_len" in e:
             cols[flag_col("max_len")] = pa.array(n_bytes > int(self.max_len))
         if "alnum" in e:
-            ratio = K.char_class_ratio(content, ALNUM_CLASS)
             cols[flag_col("alnum")] = pa.array(
-                (ratio < float(self.alnum_min)) & (n_bytes > 0)
+                (alnum_ratio < float(self.alnum_min)) & (n_bytes > 0)
             )
         if "date" in e:
-            hit = np.zeros(n, dtype=bool)
-            for p in self.date_res:
-                hit |= np.asarray(
-                    K._as_array(pc.match_substring_regex(content, p)).fill_null(False)
-                )
-            cols[flag_col("date")] = pa.array(hit)
+            cols[flag_col("date")] = pa.array(K.match_any(content, self.date_res))
         if "stopword_only" in e:
             # StringValueStopword semantics (dictionary.rs:22-24): fail only
             # when EVERY token is a lexicon word (empty content passes)

@@ -1,4 +1,4 @@
-"""Compiled-regex PII / credential / toxicity scrubber.
+r"""Compiled-regex PII / credential / toxicity scrubber.
 
 Grows the reference's ValueRegexPatterns check
 (/root/reference/src/check/post.rs:354-391 — which only FLAGS matches;
@@ -8,17 +8,25 @@ src/bin/gen_config.rs:16-20) into an in-place rewriter, per the north star:
 credentials, slur lexicon) that rewrites content in place".
 
 Two-phase per batch, keeping the hot path vectorized:
-  1. a single alternation regex is run VECTORIZED over the whole column
+  1. the patterns RE2 can compile, folded once into one alternation
+     (``kernels.fold_alternation``), run VECTORIZED over the whole column
      (``pc.match_substring_regex``) to find candidate rows — the common
-     case (no PII) costs one Arrow kernel, no Python-per-row;
-  2. only matched rows are rewritten with Python ``re.sub`` per pattern.
+     case (no PII) costs one Arrow kernel, no Python-per-row.  If any
+     pattern is not RE2-expressible, every row is a candidate;
+  2. each candidate row is rewritten with Python ``re.subn``, every
+     pattern in bank order.  A pattern that carries a required literal
+     (``ScrubPattern.literal``: a substring every match contains) is
+     skipped on a row that lacks it.  The prefilter only picks rows: RE2's
+     ASCII-only ``\w`` and ``\b`` differ from Python's, so the Python
+     patterns decide what is rewritten.
 
 Patterns are compiled once in ``Scrubber.__init__`` (driver-side; the
 reference recompiled its regexes per value inside the loop, post.rs:370 —
 a known inefficiency deliberately not reproduced).
 
 Invariant (BASELINE.json input_hint): rows with no match pass through
-byte-identical — sha256(content) equality, tested in tests/test_scrub.py.
+byte-identical — sha256(content) equality, tested in
+tests/test_properties.py and tools/f1_check.py.
 """
 
 from __future__ import annotations
@@ -41,6 +49,7 @@ class ScrubPattern:
     name: str
     pattern: str  # Python re syntax
     replace: str
+    literal: str = ""  # a substring every match contains ("" = none known)
 
 
 # Default bank. Email/phone shapes extend the reference bank
@@ -48,14 +57,14 @@ class ScrubPattern:
 # are standard public patterns (AWS key ids, PEM headers, password/token
 # assignments).
 DEFAULT_PATTERNS: list[ScrubPattern] = [
-    ScrubPattern("email", r"[\w.+-]+@[\w-]+(?:\.[\w-]{2,})+", "<EMAIL>"),
+    ScrubPattern("email", r"[\w.+-]+@[\w-]+(?:\.[\w-]{2,})+", "<EMAIL>", "@"),
     ScrubPattern(
         "phone",
         r"(?:\+44\s?7\d{3}|\(?07\d{3}\)?)\s?\d{3}\s?\d{3}\b",  # UK mobile, default.yaml:151
         "<PHONE>",
     ),
-    ScrubPattern("aws_key", r"\bAKIA[0-9A-Z]{16}\b", "<AWS_KEY>"),
-    ScrubPattern("pem", r"-----BEGIN [A-Z ]*PRIVATE KEY-----", "<PRIVATE_KEY>"),
+    ScrubPattern("aws_key", r"\bAKIA[0-9A-Z]{16}\b", "<AWS_KEY>", "AKIA"),
+    ScrubPattern("pem", r"-----BEGIN [A-Z ]*PRIVATE KEY-----", "<PRIVATE_KEY>", "-----BEGIN "),
     ScrubPattern(
         "password",
         r"(?i)\b(password|passwd|secret|api_key|access_key|token)(\s*[:=]\s*)(\"[^\"\n]*\"|'[^'\n]*'|\S+)",
@@ -88,16 +97,13 @@ class Scrubber:
             pats.append(toxicity_pattern(toxicity_lexicon))
         self.patterns = pats
         self.compiled = [(p.name, re.compile(p.pattern), p.replace) for p in pats]
-        # vectorized prefilter: RE2-compatible union (drop Python-only
-        # constructs by testing each against pyarrow at build time)
-        self.prefilters: list[str] = []
-        probe = pa.array(["x"], pa.string())
-        for p in pats:
-            try:
-                pc.match_substring_regex(probe, p.pattern)
-                self.prefilters.append(p.pattern)
-            except pa.ArrowInvalid:
-                self.prefilters.append("")  # not RE2-expressible → no prefilter
+        self.literals = [p.literal for p in pats]
+        # vectorized prefilter; a pattern that RE2 cannot compile leaves
+        # every row a candidate (prefilters None)
+        sources = [p.pattern for p in pats]
+        self.prefilters: Optional[list[str]] = (
+            K.fold_alternation(sources) if all(K.re2_compiles(p) for p in sources) else None
+        )
 
     @staticmethod
     def from_config(config: Config) -> Optional["Scrubber"]:
@@ -127,16 +133,10 @@ class Scrubber:
     def __call__(self, batch: pa.Table) -> pa.Table:
         content = K._as_array(pc.fill_null(batch["content"], ""))
         n = len(batch)
-        candidate = np.zeros(n, dtype=bool)
-        no_prefilter = False
-        for pat in self.prefilters:
-            if pat:
-                candidate |= np.asarray(
-                    K._as_array(pc.match_substring_regex(content, pat)).fill_null(False)
-                )
-            else:
-                no_prefilter = True
-        idx = np.arange(n) if no_prefilter else np.nonzero(candidate)[0]
+        if self.prefilters is None:
+            idx = np.arange(n)
+        else:
+            idx = np.nonzero(K.match_any(content, self.prefilters))[0]
 
         n_scrubs = np.zeros(n, dtype=np.int64)
         if len(idx) == 0:
@@ -147,9 +147,10 @@ class Scrubber:
             for i in idx:
                 s = vals[i]
                 hits = 0
-                for _name, rx, repl in self.compiled:
-                    s, k = rx.subn(repl, s)
-                    hits += k
+                for (_name, rx, repl), lit in zip(self.compiled, self.literals):
+                    if lit in s:
+                        s, k = rx.subn(repl, s)
+                        hits += k
                 if hits:
                     vals[i] = s
                     n_scrubs[i] = hits

@@ -60,8 +60,11 @@ def test_render_values():
 
 
 def test_char_class_ratio():
-    arr = pa.array(["aa11", "aaaa", ""])
-    assert np.allclose(K.char_class_ratio(arr, "[0-9]"), [0.5, 0.0, 0.0])
+    arr = pa.array(["aa!!", "a\x01é\n", "", None])
+    odd, control, alnum = K.char_class_ratios(arr)
+    assert np.allclose(alnum, [0.5, 0.25, 0.0, 0.0])
+    assert np.allclose(odd, [0.0, 0.5, 0.0, 0.0])
+    assert np.allclose(control, [0.0, 0.25, 0.0, 0.0])
 
 
 def test_line_length_stats():

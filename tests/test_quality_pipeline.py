@@ -3,6 +3,7 @@ invariants, checkpoint/resume — mirrors the reference's e2e fixture
 anchoring (src/readstat/read.rs:141-194) with the graft's synthetic corpus.
 """
 
+import copy
 import glob
 import hashlib
 import json
@@ -17,6 +18,7 @@ import pytest
 import ray
 import ray.data
 
+from qamd_ray.config import Setting
 from qamd_ray.gen_config import quality_config
 from qamd_ray.oracle import oracle_labels
 from qamd_ray.pipeline import (
@@ -248,6 +250,30 @@ def test_old_layout_final_manifest_is_recomputed(tmp_path, cfg, checkpointed):
     with open(mpath) as f:
         assert "partials" in json.load(f)
     assert _body(rep2) == _body(rep)
+
+
+@pytest.mark.parametrize("change", ["duplicate_content_on", "max_content_length_200"])
+def test_resume_under_changed_config_equals_fresh_run(tmp_path, cfg, checkpointed, change):
+    """Re-running into the same out_dir under a changed config recomputes
+    every shard and reports what a fresh run under the new config reports
+    (switching duplicate_content on used to raise KeyError 'f_duplicate';
+    a smaller max_content_length used to return the old report)."""
+    src, out0, rep = checkpointed
+    out = str(tmp_path / "out")
+    if change == "duplicate_content_on":
+        before = copy.deepcopy(cfg)
+        before.quality_filter.duplicate_content = None
+        run_checkpointed(src, out, before, num_shards=4)
+        after, want = cfg, rep
+    else:
+        shutil.copytree(out0, out)
+        after = copy.deepcopy(cfg)
+        after.quality_filter.max_content_length = Setting(setting=200, desc="Max content bytes")
+        want = run_checkpointed(src, str(tmp_path / "fresh"), after, num_shards=4)
+        assert _body(want) != _body(rep)
+    got = run_checkpointed(src, out, after, num_shards=4)
+    assert got["run"] == {"shards": 4, "phase1_skipped": 0, "phase3_skipped": 0}
+    assert _body(got) == _body(want)
 
 
 def test_checkpointed_shards_hold_the_pipeline_rows(cfg, checkpointed):

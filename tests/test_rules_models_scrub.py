@@ -148,3 +148,41 @@ def test_absent_config_keys_skip_rules():
     assert LangIdScorer.from_config(cfg) is None
     assert PerplexityScorer.from_config(cfg) is None
     assert Scrubber.from_config(cfg) is None
+
+
+def test_model_tables_equal_the_per_text_construction():
+    """The bincount tables over the shared training corpus equal the
+    per-text ``np.add.at`` construction (kept here as the reference)."""
+    from qamd_ray.models import _bytes_of, _ppl_hashes, _trigram_hashes
+
+    lm = LangIdModel()
+    counts = np.zeros((len(lm.classes), lm.DIM), dtype=np.float64)
+    for i, lang in enumerate(lm.classes):
+        for text in clean_samples(lang, lm.SAMPLES_PER_LANG, seed=lm.SEED):
+            h = _trigram_hashes(_bytes_of(text), lm.DIM)
+            if len(h):
+                np.add.at(counts[i], h, 1.0)
+    totals = counts.sum(axis=1, keepdims=True)
+    logp = np.log(counts + lm.ALPHA) - np.log(totals + lm.ALPHA * lm.DIM)
+    assert np.array_equal(lm.logp, logp.astype(np.float32))
+
+    pm = PerplexityModel()
+    t3 = np.zeros(pm.DIM3)
+    c2 = np.zeros(pm.DIM2)
+    b2 = np.zeros(pm.DIM2)
+    c1 = np.zeros(256)
+    u1 = np.zeros(256)
+    for text in [t for l in LANGS for t in clean_samples(l, pm.SAMPLES_PER_LANG, seed=pm.SEED)]:
+        b = _bytes_of(text)
+        if len(b) < 3:
+            continue
+        x = b.astype(np.int64)
+        h3, hc2, hb2 = _ppl_hashes(x, pm.DIM3, pm.DIM2)
+        np.add.at(t3, h3, 1.0)
+        np.add.at(c2, hc2, 1.0)
+        np.add.at(b2, hb2, 1.0)
+        np.add.at(c1, x[:-1], 1.0)
+        np.add.at(u1, x, 1.0)
+    for got, want in zip((pm.t3, pm.c2, pm.b2, pm.c1, pm.u1), (t3, c2, b2, c1, u1)):
+        assert np.array_equal(got, want)
+    assert pm.total == u1.sum()
