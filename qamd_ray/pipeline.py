@@ -8,9 +8,10 @@ Ray-Data-native rendering of BASELINE.json's north rule.  Lifecycle
       → ModelScorers      (langid + perplexity; deterministic models
                            built lazily in each worker process and cached
                            module-level — no actor spin-up)
-      → duplicate verdict (only (sha, "repo\\x00path") leaves each task —
-                           content never reaches the driver; winner map
-                           reduced there and broadcast back)
+      → duplicate verdict (each task reduces its (sha, "repo\\x00path")
+                           pairs to one Arrow hash aggregate — content
+                           never reaches the driver; the partials are
+                           merged there and broadcast back)
       → Scrubber + keep   (stateless map_batches)
       → write partitioned Parquet + per-shard lineage manifests
       → per-repo report   (per-batch partial counts → one driver groupby)
@@ -20,8 +21,9 @@ Scale notes, explicit:
 * Content streams straight from read to write; there is no all-to-all
   exchange.  The two driver reductions are QAMD's one in-RAM table
   (src/readstat/handler.rs:133-151), at every input size.
-* The duplicate verdict collects one (sha, key) pair per input row and
-  reduces it in pandas.  That is O(rows) driver memory — see README.md
+* The duplicate verdict collects one (sha, row count, smallest key) row
+  per distinct content per block and merges them with one Arrow hash
+  aggregate.  That is O(distinct contents) driver memory — see README.md
   for the measured cost per million rows.
 * The per-repo report collects one partial-count row per (repo × batch),
   so giant-repo skew never grows it beyond the batch count — the
@@ -45,7 +47,6 @@ import time
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
@@ -122,23 +123,51 @@ def content_keys(ds: "ray.data.Dataset") -> "ray.data.Dataset":
     return ds.map_batches(_keys, batch_format="pyarrow")
 
 
-def _row_keys(batch: pa.Table) -> list[str]:
-    """The winner identity "repo\\x00path" of every row of ``batch``."""
-    return [
-        f"{r}\x00{p}"
-        for r, p in zip(batch["repo"].to_pylist(), batch["path"].to_pylist())
-    ]
+def _winner_keys(batch: pa.Table) -> pa.ChunkedArray:
+    """The winner identity "repo\\x00path" of every row of ``batch``; a null
+    repo or path reads ``None``, as in ``f"{repo}\\x00{path}"``."""
+    repo, path = (pc.cast(batch[c], pa.string()) for c in ("repo", "path"))
+    return pc.binary_join_element_wise(
+        repo, path, "\x00", null_handling="replace", null_replacement="None"
+    )
 
 
-def _winner_map(df: pd.DataFrame) -> dict[str, str]:
-    """{content_sha256 → lexicographic-min key} for every sha that occurs
-    more than once in ``df`` (columns ``content_sha256``, ``key``) — one
-    vectorized pandas reduction, no per-group Python.  An empty ``df``
-    (a zero-row input collects to a frame without columns) has none."""
-    if df.empty:
+def _winner_partials(batch: pa.Table) -> pa.Table:
+    """One row per distinct ``content_sha256`` of ``batch``: its row count
+    ``n`` and its smallest key ``min_key`` — one hash aggregate.  Arrow's
+    string ``min`` compares UTF-8 bytes, which orders like Python's code
+    points, so the smallest key is the lexicographic-min (repo, path)."""
+    t = pa.table({"content_sha256": pc.cast(batch["content_sha256"], pa.string()),
+                  "key": _winner_keys(batch)})
+    g = t.group_by("content_sha256", use_threads=False).aggregate(
+        [("key", "min"), ("key", "count")]
+    )
+    return pa.table({"content_sha256": g["content_sha256"], "n": g["key_count"],
+                     "min_key": g["key_min"]})
+
+
+def _merge_winners(parts: Sequence[pa.Table]) -> dict[str, str]:
+    """{content_sha256 → lexicographic-min key} for every sha that
+    :func:`_winner_partials` of any grouping of the rows counts more than
+    once in total.  A null sha has no winner."""
+    if not parts:
         return {}
-    dups = df[df.duplicated("content_sha256", keep=False)]
-    return dict(dups.groupby("content_sha256", sort=False)["key"].min().items())
+    g = pa.concat_tables(parts).group_by("content_sha256", use_threads=False).aggregate(
+        [("n", "sum"), ("min_key", "min")]
+    )
+    dup = g.filter(pc.and_(pc.greater(g["n_sum"], 1), pc.is_valid(g["content_sha256"])))
+    return dict(zip(dup["content_sha256"].to_pylist(), dup["min_key_min"].to_pylist()))
+
+
+def _partial_rows(parts: Sequence[pa.Table], col: str) -> int:
+    """The rows a set of partials counted in column ``col``."""
+    return sum(int(pc.sum(p[col]).as_py() or 0) for p in parts)
+
+
+def _collect(ds: "ray.data.Dataset") -> list[pa.Table]:
+    """Every block of ``ds`` on the driver, as Arrow tables.  (Collecting
+    with ``to_arrow_refs`` + ``ray.get`` measured 0.5 s slower per job.)"""
+    return list(ds.iter_batches(batch_size=None, batch_format="pyarrow"))
 
 
 def _check_rows(what: str, got: int, n_rows: Optional[int]) -> None:
@@ -160,22 +189,18 @@ def duplicate_winners(
     map is small (one entry per DUPLICATED distinct content) and is
     broadcast to the dup-flag stage.
 
-    The (sha, key) projection is built in Ray tasks and collected to the
-    driver, which reduces it with :func:`_winner_map` — QAMD's one in-RAM
-    table.  ``n_rows``, when given, must equal the collected row count.
+    Each block is reduced in its Ray task to :func:`_winner_partials`; the
+    driver merges the partials with :func:`_merge_winners` — QAMD's one
+    in-RAM table.  ``n_rows``, when given, must equal the row count the
+    partials counted.
     """
-
-    def _with_key(batch: pa.Table) -> pa.Table:
-        key = pa.array(_row_keys(batch), pa.string())
-        return pa.table({"content_sha256": batch["content_sha256"], "key": key})
-
-    df = (
-        enriched.select_columns(["content_sha256", "repo", "path"])
-        .map_batches(_with_key, batch_format="pyarrow")
-        .to_pandas()
+    parts = _collect(
+        enriched.select_columns(["content_sha256", "repo", "path"]).map_batches(
+            _winner_partials, batch_format="pyarrow"
+        )
     )
-    _check_rows("duplicate_winners", len(df), n_rows)
-    return _winner_map(df)
+    _check_rows("duplicate_winners", _partial_rows(parts, "n"), n_rows)
+    return _merge_winners(parts)
 
 
 # most Ray tasks of the file-based duplicate verdict
@@ -185,33 +210,22 @@ WINNER_CHUNKS = 64
 def _winners_from_files(paths: Sequence[str] | str) -> dict[str, str]:
     """:func:`duplicate_winners` for Parquet sources: one plain Ray task
     per row-group chunk reads (repo, path, content), hashes, and returns
-    only (sha, key) arrays; the driver reduces them with
-    :func:`_winner_map`.  Skips a whole Ray-Data job's worth of driver
-    choreography (~0.5 s) — significant against a seconds-long run.
+    only its :func:`_winner_partials`; the driver merges them.  Skips a
+    whole Ray-Data job's worth of driver choreography (~0.5 s) —
+    significant against a seconds-long run.
     """
     chunks = _shard_row_groups(paths, WINNER_CHUNKS)
 
     @ray.remote
-    def _keys_chunk(chunk: list[dict]) -> tuple[list[str], list[str]]:
-        shas: list[str] = []
-        keys: list[str] = []
-        for t in chunk:
-            tbl = pq.ParquetFile(t["path"]).read_row_group(
-                t["row_group"], columns=["repo", "path", "content"]
-            )
-            shas.extend(K.digest_rows(tbl["content"], "sha256"))
-            keys.extend(_row_keys(tbl))
-        return shas, keys
-
-    parts = ray.get([_keys_chunk.remote(c) for c in chunks])
-    return _winner_map(
-        pd.DataFrame(
-            {
-                "content_sha256": np.concatenate([p[0] for p in parts]) if parts else [],
-                "key": np.concatenate([p[1] for p in parts]) if parts else [],
-            }
+    def _keys_chunk(chunk: list[dict]) -> pa.Table:
+        tbl = pa.concat_tables(
+            pq.ParquetFile(t["path"]).read_row_group(t["row_group"], columns=["repo", "path", "content"])
+            for t in chunk
         )
-    )
+        sha = pa.array(K.digest_rows(tbl["content"], "sha256"), pa.string())
+        return _winner_partials(tbl.append_column("content_sha256", sha))
+
+    return _merge_winners(ray.get([_keys_chunk.remote(c) for c in chunks]))
 
 
 def finalize(
@@ -222,28 +236,22 @@ def finalize(
     """dup flag → scrub → keep column.
 
     ``winners`` (from :func:`duplicate_winners`) is broadcast to the
-    dup-flag tasks: O(duplicated distinct contents) entries."""
+    dup-flag tasks as two Arrow arrays (sha, key): O(duplicated distinct
+    contents) entries.  A row is a duplicate when its sha has a winner
+    whose key is not the row's own."""
     ds = enriched
     q = config.quality_filter
     if q.duplicate_content is not None and q.duplicate_content.setting:
-        win_ref = ray.put(winners or {})
+        win = winners or {}
+        win_ref = ray.put(
+            (pa.array(list(win), pa.string()), pa.array(list(win.values()), pa.string()))
+        )
 
         def _dup(batch: pa.Table) -> pa.Table:
-            wmap = ray.get(win_ref)
-            if not wmap:
-                return batch.append_column(
-                    "f_duplicate", pa.array(np.zeros(len(batch), dtype=bool))
-                )
-            shas = batch["content_sha256"].to_pylist()
-            hit = np.fromiter(
-                (
-                    s in wmap and key != wmap[s]
-                    for s, key in zip(shas, _row_keys(batch))
-                ),
-                bool,
-                len(batch),
-            )
-            return batch.append_column("f_duplicate", pa.array(hit))
+            win_sha, win_key = ray.get(win_ref)
+            at = pc.index_in(batch["content_sha256"], value_set=win_sha)
+            hit = pc.not_equal(pc.take(win_key, at), _winner_keys(batch))
+            return batch.append_column("f_duplicate", pc.fill_null(hit, False))
 
         ds = ds.map_batches(_dup, batch_format="pyarrow")
     scrubber = Scrubber.from_config(config)
@@ -361,29 +369,38 @@ def _flag_columns(names: Sequence[str]) -> list[str]:
     ]
 
 
-def _repo_partials(batch: pa.Table, flags: Sequence[str], keep_col: bool) -> pd.DataFrame:
-    """One partial-count row per repo of ``batch``: ``n_rows``, the sum of
-    every column of ``flags`` and, with ``keep_col``, ``n_keep``."""
-    # project away content BEFORE the pandas conversion (zero-copy Arrow
-    # select) — pandas-ifying the wide final table (content strings →
-    # objects) costs more than the aggregation itself
-    df = batch.select(["repo", *flags] + (["keep"] if keep_col else [])).to_pandas()
-    agg = {c: (c, "sum") for c in flags}
-    if keep_col:
-        agg["n_keep"] = ("keep", "sum")
-    return df.groupby("repo", sort=False).agg(n_rows=("repo", "size"), **agg).reset_index()
+def _partial_schema(sum_cols: Sequence[str]) -> pa.Schema:
+    """A per-repo partial count: its repo and one int64 per counted column."""
+    return pa.schema([("repo", pa.string())] + [(c, pa.int64()) for c in sum_cols])
 
 
-def _sum_partials(pdf: pd.DataFrame, sum_cols: Sequence[str]) -> pa.Table:
-    """Per-repo sums of :func:`_repo_partials` rows, sorted by repo.  An
-    empty ``pdf`` (a zero-row input collects to a frame without columns)
-    gives an empty table with the same columns."""
-    if pdf.empty:
-        return pa.table(
-            {"repo": pa.array([], pa.string()), **{c: pa.array([], pa.int64()) for c in sum_cols}}
-        )
-    rep = pdf.groupby("repo", sort=False)[list(sum_cols)].sum().reset_index()
-    return pa.Table.from_pandas(rep, preserve_index=False).sort_by("repo")
+# a sum over the rows of a group whose every value is null is 0, not null
+_SUM = pc.ScalarAggregateOptions(min_count=0)
+
+
+def _repo_partials(batch: pa.Table, flags: Sequence[str], keep_col: bool) -> pa.Table:
+    """One partial-count row per repo of ``batch`` (a null repo is a group
+    of its own): ``n_rows``, the sum of every column of ``flags`` (a null
+    flag counts as not set) and, with ``keep_col``, ``n_keep`` — one hash
+    aggregate over the projected columns."""
+    cols = [*flags] + (["keep"] if keep_col else [])
+    g = batch.select(["repo", *cols]).group_by("repo", use_threads=False).aggregate(
+        [([], "count_all")] + [(c, "sum", _SUM) for c in cols]
+    )
+    names = ["n_rows", *flags] + (["n_keep"] if keep_col else [])
+    return pa.table(
+        [g["repo"], g["count_all"]] + [g[f"{c}_sum"] for c in cols], names=["repo", *names]
+    ).cast(_partial_schema(names))
+
+
+def _sum_partials(parts: Sequence[pa.Table], sum_cols: Sequence[str]) -> pa.Table:
+    """Per-repo sums of :func:`_repo_partials` rows, sorted by repo (a null
+    repo last).  No partials give an empty table with the same columns."""
+    t = pa.concat_tables(parts) if parts else _partial_schema(sum_cols).empty_table()
+    g = t.group_by("repo", use_threads=False).aggregate([(c, "sum") for c in sum_cols])
+    return pa.table(
+        [g["repo"]] + [g[f"{c}_sum"] for c in sum_cols], names=["repo", *sum_cols]
+    ).sort_by("repo")
 
 
 def repo_report(
@@ -396,22 +413,23 @@ def repo_report(
     Per-batch partial aggregation (:func:`_repo_partials` inside
     map_batches) bounds what reaches the driver to O(repos × batches) rows
     regardless of skew; the driver sums the partials per repo with one
-    pandas groupby.  The reference's whole-file counters (report summary
-    HashMap) fall out as the column sums of this table.  ``n_rows``,
-    when given, must equal the number of rows the partials counted.
+    Arrow hash aggregate.  The reference's whole-file counters (report
+    summary HashMap) fall out as the column sums of this table.
+    ``n_rows``, when given, must equal the number of rows the partials
+    counted.
     """
     names = getattr(final, "_qamd_columns", None) or final.schema().names
     flags = _flag_columns(names)
     keep_col = "keep" in names
 
-    def _partials(batch: pa.Table) -> pd.DataFrame:
+    def _partials(batch: pa.Table) -> pa.Table:
         # a dataset-level select_columns would break task fusion / force
         # an extra schema-resolving execution of the lazy chain
         return _repo_partials(batch, flags, keep_col)
 
-    pdf = final.map_batches(_partials, batch_format="pyarrow").to_pandas()
-    _check_rows("repo_report", 0 if pdf.empty else int(pdf["n_rows"].sum()), n_rows)
-    return _sum_partials(pdf, flags + ["n_rows"] + (["n_keep"] if keep_col else []))
+    parts = _collect(final.map_batches(_partials, batch_format="pyarrow"))
+    _check_rows("repo_report", _partial_rows(parts, "n_rows"), n_rows)
+    return _sum_partials(parts, flags + ["n_rows"] + (["n_keep"] if keep_col else []))
 
 
 def summary_report(repo_table: pa.Table, metadata_only: bool = False,
@@ -452,40 +470,52 @@ def summary_report(repo_table: pa.Table, metadata_only: bool = False,
     return out
 
 
-def _locator_partials(batch: pa.Table, flags: Sequence[str]) -> pd.DataFrame:
-    """Up to ``LOCATOR_CAP`` smallest (repo, path) pairs of ``batch`` per
-    flag column set → columns ``repo``, ``path``, ``rule``."""
-    # project away content before the pandas conversion, as
-    # _repo_partials does
-    df = batch.select(["repo", "path", *flags]).to_pandas()
-    outs = []
-    for c in flags:
-        sub = df.loc[df[c].fillna(False), ["repo", "path"]]
-        if len(sub):
-            sub = sub.sort_values(["repo", "path"]).head(LOCATOR_CAP)
-            outs.append(sub.assign(rule=c[2:]))
-    if not outs:
-        return pd.DataFrame({"repo": [], "path": [], "rule": []})
-    return pd.concat(outs, ignore_index=True)
+LOCATOR_SCHEMA = pa.schema([("rule", pa.string()), ("repo", pa.string()), ("path", pa.string())])
 
 
-def _merge_locators(parts: pd.DataFrame) -> dict[str, list]:
-    """{rule → the ``LOCATOR_CAP`` smallest {repo, path}} over partials
-    with columns ``repo``, ``path``, ``rule``.  Each partial is already
-    smallest-k, so merging is exact in any grouping of the rows."""
+def _locators(rows: pa.Table, masks: dict) -> pa.Table:
+    """Locator rows (``LOCATOR_SCHEMA``): for each rule of ``masks``, in
+    rule order, the ``LOCATOR_CAP`` smallest (repo, path) of ``rows`` whose
+    mask (a boolean column; null = not set) is set, smallest first.  One
+    sort of (repo, path) serves every rule; nulls sort last, as pandas
+    places them.  Each output is smallest-k, so applying this again to
+    concatenated outputs (masks: ``rule == r``) merges them exactly."""
+    keys = rows.select(["repo", "path"])
+    order = np.asarray(
+        pc.sort_indices(keys, sort_keys=[("repo", "ascending"), ("path", "ascending")],
+                        null_placement="at_end")
+    )
+    rules = sorted(masks)
+    picks = [
+        order[np.flatnonzero(np.asarray(pc.fill_null(masks[r], False))[order])[:LOCATOR_CAP]]
+        for r in rules
+    ]
+    picked = keys.take(np.concatenate(picks) if picks else np.zeros(0, np.int64))
+    rule = pa.array(np.repeat(np.array(rules, dtype=object), [len(p) for p in picks]), pa.string())
+    return pa.table(
+        [rule, picked["repo"], picked["path"]], names=LOCATOR_SCHEMA.names
+    ).cast(LOCATOR_SCHEMA)
+
+
+def _locator_dict(locs: pa.Table) -> dict[str, list]:
+    """{rule → [{repo, path}, …]} of :func:`_locators` rows, in their order."""
     out: dict[str, list] = {}
-    if parts.empty:
-        return out
-    top = parts.sort_values(["rule", "repo", "path"]).groupby("rule", sort=False).head(LOCATOR_CAP)
-    for rule, r, p in zip(top["rule"], top["repo"], top["path"]):
-        out.setdefault(rule, []).append({"repo": r, "path": p})
+    for rule, loc in zip(locs["rule"].to_pylist(), locs.select(["repo", "path"]).to_pylist()):
+        out.setdefault(rule, []).append(loc)
     return out
+
+
+def _merge_locators(locs: pa.Table) -> dict[str, list]:
+    """{rule → the ``LOCATOR_CAP`` smallest {repo, path}} over locator rows
+    of any grouping of the rows."""
+    rules = pc.unique(locs["rule"]).to_pylist()
+    return _locator_dict(_locators(locs, {r: pc.equal(locs["rule"], r) for r in rules}))
 
 
 def locator_samples(final: "ray.data.Dataset") -> dict[str, list]:
     """Deterministic failure locators per rule: up to ``LOCATOR_CAP``
     smallest (repo, path) pairs — one pass, per-batch top-k partials
-    (:func:`_locator_partials`) merged on the driver (reference emits
+    (:func:`_locators`) merged on the driver (reference emits
     per-failure locators, capped at 1000 in the HTML report,
     src/report/html/mod.rs:110,115)."""
     all_names = getattr(final, "_qamd_columns", None) or final.schema().names
@@ -493,10 +523,11 @@ def locator_samples(final: "ray.data.Dataset") -> dict[str, list]:
     if not names:
         return {}
 
-    def _partials(batch: pa.Table) -> pd.DataFrame:
-        return _locator_partials(batch, names)
+    def _partials(batch: pa.Table) -> pa.Table:
+        return _locators(batch, {c[2:]: batch[c] for c in names})
 
-    return _merge_locators(final.map_batches(_partials, batch_format="pyarrow").to_pandas())
+    parts = _collect(final.map_batches(_partials, batch_format="pyarrow"))
+    return _merge_locators(pa.concat_tables(parts) if parts else LOCATOR_SCHEMA.empty_table())
 
 
 # ---------------------------------------------------------------------------
@@ -556,10 +587,11 @@ def _config_digest(config: Config) -> str:
     return hashlib.sha256(body.encode()).hexdigest()
 
 
-def _valid_manifest(part_dir: str, keys: Sequence[str], config: str) -> Optional[dict]:
+def _valid_manifest(part_dir: str, keys: Sequence[str], head: dict) -> Optional[dict]:
     """The shard's manifest if the shard is complete, else None.  Complete:
-    the manifest parses, carries every key of ``keys``, was written under
-    the config whose digest is ``config``, and the Parquet row counts of
+    the manifest parses, carries every key of ``keys`` and every entry of
+    ``head`` (what this run builds the shard from: its row count, config
+    digest, input row groups and, in phase 3, winner digest), and the Parquet row counts of
     ``data/`` (metadata only — no data read) sum to its ``rows`` (an empty
     shard has an empty ``data/``)."""
     try:
@@ -568,7 +600,7 @@ def _valid_manifest(part_dir: str, keys: Sequence[str], config: str) -> Optional
         if (
             not os.path.isdir(os.path.join(part_dir, "data"))
             or any(k not in m for k in keys)
-            or m.get("config") != config
+            or any(m.get(k) != v for k, v in head.items())
         ):
             return None
         rows = sum(pq.read_metadata(p).num_rows for p in _shard_files(part_dir))
@@ -581,11 +613,31 @@ def _merge_final_stats(parts: Sequence[dict], sum_cols: list[str]) -> tuple[pa.T
     """Per-repo ``partials`` and per-rule ``locators`` of final files (into
     a shard's) or of final shards (into the run's) → (repo table, locators).
     Partials sum per repo; locators are smallest-k, so they merge exactly."""
-    rt = _sum_partials(pd.DataFrame([p for s in parts for p in s["partials"]]), sum_cols)
-    locs = pd.DataFrame(
-        [{**loc, "rule": r} for s in parts for r, ls in s["locators"].items() for loc in ls]
+    partials = pa.Table.from_pylist(
+        [p for s in parts for p in s["partials"]], schema=_partial_schema(sum_cols)
     )
-    return rt, _merge_locators(locs)
+    locs = pa.Table.from_pylist(
+        [{"rule": r, **loc} for s in parts for r, ls in s["locators"].items() for loc in ls],
+        schema=LOCATOR_SCHEMA,
+    )
+    return _sum_partials([partials], sum_cols), _merge_locators(locs)
+
+
+def _write_if_changed(path: str, body: bytes) -> str:
+    """Writes ``body`` to ``path`` (atomically) unless the file already
+    holds exactly these bytes; → the sha256 of ``body``."""
+    import hashlib
+
+    try:
+        with open(path, "rb") as f:
+            same = f.read() == body
+    except OSError:
+        same = False
+    if not same:
+        with open(path + ".tmp", "wb") as f:
+            f.write(body)
+        os.replace(path + ".tmp", path)
+    return hashlib.sha256(body).hexdigest()
 
 
 def _content_bytes(rows: pa.Table, footer: "pq.FileMetaData") -> dict:
@@ -629,9 +681,8 @@ def _run_phase(
     """One checkpoint phase → (every shard's manifest, shards skipped).
 
     ``heads[k]`` starts shard k's manifest; its ``rows`` is the row count
-    the shard must reach and its ``config`` the run's config digest.  A
-    shard whose manifest validates (carries ``keys`` and that digest) is
-    skipped.  ``job(pending)`` builds ONE Dataset over all
+    the shard must reach.  A shard whose manifest validates (carries
+    ``keys`` and every entry of ``heads[k]``) is skipped.  ``job(pending)`` builds ONE Dataset over all
     pending shards, whose rows carry ``SHARD_COL``; a writer stage ends it.
     The writer writes each shard's rows of a batch to one Parquet file in
     that shard's ``part=<k>/.data.tmp/`` and returns one small row per
@@ -670,7 +721,7 @@ def _run_phase(
     done = {
         k: m
         for k, p in enumerate(parts)
-        if (m := _valid_manifest(p, keys, heads[k]["config"])) is not None
+        if (m := _valid_manifest(p, keys, heads[k])) is not None
     }
     skipped = len(done)
     pending = [k for k in range(len(heads)) if k not in done]
@@ -723,15 +774,20 @@ def run_checkpointed(
 
     Phase 1 (rules + models) and phase 3 (dup flag + scrub + keep) each
     run ONE Ray Data job over all of their pending shards; phase 2 (the
-    duplicate verdict) is one more.  A shard is published (``data/`` by
+    duplicate verdict) runs no Ray job: on every run the driver merges the
+    winner partials of the enriched files' (sha, repo, path) columns and
+    rewrites ``winners.json`` only when its bytes change.  A shard is published (``data/`` by
     rename, then ``manifest.json``) as soon as its rows are written, and a
     shard whose manifest validates is skipped on restart — lineage +
     metrics per partition, recompute = 0 for finished shards.  Every
     manifest records its row count, wall time and the digest of the config
     it was written under (a manifest of another config, or of none, does
     not validate, so that shard is recomputed); phase 1's also its input
-    row groups and content bytes, phase 3's its keep count, per-repo
-    partial counts and per-rule smallest locators.  The report is merged
+    row groups and content bytes, phase 3's the same input row groups, the
+    sha256 of the ``winners.json`` bytes it was flagged with, its keep
+    count, per-repo
+    partial counts and per-rule smallest locators.  A shard whose manifest
+    differs from this run's in any of these is recomputed.  The report is merged
     from the phase-3 manifests alone: no file under ``final/`` is read.
     """
     shards = _shard_row_groups(input_paths, num_shards)
@@ -757,34 +813,32 @@ def run_checkpointed(
         lambda files: {"content_bytes": sum(s["content_bytes"] for s in files)},
     )
 
-    # ---- phase 2: global duplicate verdict over the enriched projection --
-    winners_path = os.path.join(out_dir, "winners.json")
+    # ---- phase 2: global duplicate verdict, merged on the driver ---------
+    # recomputed on every run from the enriched files' (sha, repo, path)
+    # columns, so a re-enriched shard can never meet a stale winner map;
+    # each final manifest records the digest of the map it was flagged with
     q = config.quality_filter
     winners: dict[str, str] = {}
+    win_digest = None
     if q.duplicate_content is not None and q.duplicate_content.setting:
-        if os.path.exists(winners_path):
-            with open(winners_path) as f:
-                winners = json.load(f)
-        else:
-            enriched_files = sorted(glob.glob(os.path.join(enr_dir, "part=*", "data", "*.parquet")))
-            if enriched_files:  # a zero-row input writes none
-                proj = ray.data.read_parquet(
-                    enriched_files, columns=["content_sha256", "repo", "path"]
-                )
-                winners = duplicate_winners(proj)
-            with open(winners_path + ".tmp", "w") as f:
-                json.dump(winners, f, sort_keys=True)
-            os.replace(winners_path + ".tmp", winners_path)
+        winners = _merge_winners([
+            _winner_partials(pq.read_table(f, columns=["content_sha256", "repo", "path"]))
+            for k in range(len(enr))
+            for f in _shard_files(os.path.join(enr_dir, f"part={k}"))
+        ])
+        win_digest = _write_if_changed(
+            os.path.join(out_dir, "winners.json"), json.dumps(winners, sort_keys=True).encode()
+        )
 
     # ---- phase 3: dup flag + scrub + keep --------------------------------
     flags = _flag_columns(_final_columns(config))
+    fails = [c for c in flags if c.startswith("f_")]
     sum_cols = flags + ["n_rows", "n_keep"]
 
     def _final_stats(rows: pa.Table, footer: "pq.FileMetaData") -> dict:
-        fails = [c for c in flags if c.startswith("f_")]
         return {
-            "partials": _repo_partials(rows, flags, True).to_dict("records"),
-            "locators": _merge_locators(_locator_partials(rows, fails)),
+            "partials": _repo_partials(rows, flags, True).to_pylist(),
+            "locators": _locator_dict(_locators(rows, {c[2:]: rows[c] for c in fails})),
         }
 
     def _final_summary(files: list[dict]) -> dict:
@@ -794,7 +848,10 @@ def run_checkpointed(
 
     fin, fin_skipped = _run_phase(
         fin_dir,
-        [{"rows": m["rows"], "config": digest} for m in enr],
+        [
+            {"rows": m["rows"], "config": digest, "inputs": m["inputs"], "winners": win_digest}
+            for m in enr
+        ],
         ("partials", "locators"),
         lambda pending: finalize(
             _read_shard(

@@ -8,17 +8,20 @@ src/bin/gen_config.rs:16-20) into an in-place rewriter, per the north star:
 credentials, slur lexicon) that rewrites content in place".
 
 Two-phase per batch, keeping the hot path vectorized:
-  1. the patterns RE2 can compile, folded once into one alternation
-     (``kernels.fold_alternation``), run VECTORIZED over the whole column
-     (``pc.match_substring_regex``) to find candidate rows — the common
-     case (no PII) costs one Arrow kernel, no Python-per-row.  If any
-     pattern is not RE2-expressible, every row is a candidate;
+  1. the patterns RE2 can compile and the required literals below, folded
+     once into one alternation (``kernels.fold_alternation``), run
+     VECTORIZED over the whole column (``pc.match_substring_regex``) to
+     find candidate rows — the common case (no PII) costs one Arrow
+     kernel, no Python-per-row.  If any pattern is not RE2-expressible,
+     every row is a candidate.  A null row is never a candidate and
+     stays null;
   2. each candidate row is rewritten with Python ``re.subn``, every
      pattern in bank order.  A pattern that carries a required literal
      (``ScrubPattern.literal``: a substring every match contains) is
      skipped on a row that lacks it.  The prefilter only picks rows: RE2's
      ASCII-only ``\w`` and ``\b`` differ from Python's, so the Python
-     patterns decide what is rewritten.
+     patterns decide what is rewritten, and a row holding a required
+     literal is a candidate even when RE2 finds no match in it.
 
 Patterns are compiled once in ``Scrubber.__init__`` (driver-side; the
 reference recompiled its regexes per value inside the loop, post.rs:370 —
@@ -99,8 +102,10 @@ class Scrubber:
         self.compiled = [(p.name, re.compile(p.pattern), p.replace) for p in pats]
         self.literals = [p.literal for p in pats]
         # vectorized prefilter; a pattern that RE2 cannot compile leaves
-        # every row a candidate (prefilters None)
-        sources = [p.pattern for p in pats]
+        # every row a candidate (prefilters None).  A row holding a required
+        # literal is a candidate too: RE2's ASCII-only \w misses matches
+        # that Python's finds ("josé@example.com")
+        sources = [p.pattern for p in pats] + [re.escape(p.literal) for p in pats if p.literal]
         self.prefilters: Optional[list[str]] = (
             K.fold_alternation(sources) if all(K.re2_compiles(p) for p in sources) else None
         )
@@ -131,12 +136,13 @@ class Scrubber:
         return Scrubber(patterns=pats, toxicity_lexicon=lex)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        null = np.asarray(K._as_array(batch["content"]).is_null())
         content = K._as_array(pc.fill_null(batch["content"], ""))
         n = len(batch)
         if self.prefilters is None:
-            idx = np.arange(n)
+            idx = np.flatnonzero(~null)
         else:
-            idx = np.nonzero(K.match_any(content, self.prefilters))[0]
+            idx = np.flatnonzero(K.match_any(content, self.prefilters) & ~null)
 
         n_scrubs = np.zeros(n, dtype=np.int64)
         if len(idx) == 0:
@@ -156,7 +162,7 @@ class Scrubber:
                     n_scrubs[i] = hits
                     changed = True
             if changed:
-                new = pa.array(vals, pa.string())
+                new = pa.array(vals, pa.string(), mask=null)  # a null stays null
                 ci = batch.column_names.index("content")
                 out = batch.set_column(ci, "content", new)
             else:

@@ -5,9 +5,11 @@ on how its input is split into batches.  These are the load-bearing invariants
 behind the F1 gate — a vectorization bug on either side shows up here
 before it shows up as an F1 miss."""
 
+import json
 import re
 import string
 
+import numpy as np
 import pyarrow as pa
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -393,11 +395,12 @@ SCRUB_TEXT = st.lists(st.one_of(SCRUB_FRAGMENTS, TEXT.map(lambda t: t[:20])), ma
 def _all_patterns_scrub(scrubber, texts):
     """The scrub before the folded prefilter and literal guards: candidate
     rows from one RE2 pass per pattern (every row when a pattern is not
-    RE2-expressible), then every pattern's ``subn`` in bank order."""
+    RE2-expressible) or from a pattern's required literal, then every
+    pattern's ``subn`` in bank order.  A null row stays null."""
     import pyarrow.compute as pc
 
     arr = pc.fill_null(pa.array(texts, pa.string()), "")
-    cand = [False] * len(texts)
+    cand = [any(p.literal and p.literal in (t or "") for p in scrubber.patterns) for t in texts]
     for p in scrubber.patterns:
         try:
             hit = pc.match_substring_regex(arr, p.pattern).to_pylist()
@@ -406,15 +409,13 @@ def _all_patterns_scrub(scrubber, texts):
         cand = [a or b for a, b in zip(cand, hit)]
     out, counts = [], []
     for t, c in zip(texts, cand):
-        s, hits = t or "", 0
-        if c:
+        s, hits = t, 0
+        if c and t is not None:
             for p in scrubber.patterns:
                 s, k = re.subn(p.pattern, p.replace, s)
                 hits += k
-        out.append(s if hits else t)
+        out.append(s)
         counts.append(hits)
-    if any(counts):  # the rewritten column is rebuilt from filled values
-        out = [o if o is not None else "" for o in out]
     return out, counts
 
 
@@ -433,3 +434,167 @@ def test_scrubber_equals_all_patterns_loop(texts, python_only_pattern):
     assert out["content"].to_pylist() == want
     assert out["n_scrubs"].to_pylist() == counts
     assert out["scrubbed"].to_pylist() == [c > 0 for c in counts]
+
+
+# --- the pipeline's Arrow reductions against their pandas definitions -------
+
+# repos repeat, and may be null or non-ASCII; paths may tie, be null or
+# non-ASCII (Arrow compares UTF-8 bytes, pandas code points: same order)
+REPOS = st.one_of(st.none(), st.sampled_from(["org/a", "org/b", "Org/é", "org/ß", "zz"]))
+PATHS = st.one_of(st.none(), st.sampled_from(["a.py", "b.py", "é.rs", "İ/x", "a.py\x00"]),
+                  st.text(max_size=4))
+FLAGS = ["f_one", "f_two", "scrubbed"]
+
+
+@st.composite
+def report_tables(draw):
+    """A final-shaped table (repo, path, flags with nulls, keep, sha; repo
+    and path as string or large_string) and its split into batches."""
+    n = draw(st.integers(0, 40))
+    col = lambda s: [draw(s) for _ in range(n)]  # noqa: E731
+    text = draw(st.sampled_from([pa.string(), pa.large_string()]))
+    t = pa.table({
+        "repo": pa.array(col(REPOS), text),
+        "path": pa.array(col(PATHS), text),
+        "f_one": pa.array(col(st.one_of(st.none(), st.booleans())), pa.bool_()),
+        "f_two": pa.array(col(st.booleans()), pa.bool_()),
+        "scrubbed": pa.array(col(st.booleans()), pa.bool_()),
+        "keep": pa.array(col(st.booleans()), pa.bool_()),
+        "content_sha256": pa.array(col(st.one_of(st.none(), st.sampled_from("abcd"))), text),
+    })
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=4)))
+    bounds = [0, *cuts, n]
+    return t, [t.slice(a, b - a) for a, b in zip(bounds, bounds[1:])]
+
+
+def _pandas_repo_partials(t: pa.Table) -> list[dict]:
+    """The pandas definition of the per-repo partial counts (null flags
+    count as not set; a null repo is a group of its own)."""
+    df = t.select(["repo", *FLAGS, "keep"]).to_pandas()
+    for c in [*FLAGS, "keep"]:
+        df[c] = df[c].eq(True)
+    agg = {c: (c, "sum") for c in FLAGS}
+    agg["n_keep"] = ("keep", "sum")
+    g = df.groupby("repo", sort=False, dropna=False).agg(n_rows=("repo", "size"), **agg)
+    return [{"repo": None if r != r else r, **{k: int(v) for k, v in row.items()}}
+            for r, row in g.iterrows()]
+
+
+def _pandas_locators(t: pa.Table, flags: list[str], cap: int) -> dict[str, list]:
+    """The pandas definition of the locators: per flag, the ``cap``
+    smallest (repo, path) of the rows with the flag set (null = not set),
+    nulls last; rules in sorted order."""
+    df = t.select(["repo", "path", *flags]).to_pandas()
+    out = {}
+    for c in sorted(flags, key=lambda c: c[2:]):
+        sub = df.loc[df[c].eq(True), ["repo", "path"]]
+        sub = sub.sort_values(["repo", "path"], na_position="last").head(cap)
+        if len(sub):
+            out[c[2:]] = [{"repo": None if r != r else r, "path": None if p != p else p}
+                          for r, p in zip(sub["repo"], sub["path"])]
+    return out
+
+
+NULL_REPO_TABLE = pa.table({
+    "repo": pa.array([None, "b", None], pa.string()),
+    "path": pa.array(["b", None, "a"], pa.string()),
+    **{c: pa.array([True, None, True]) for c in ["f_one", "f_two", "scrubbed", "keep"]},
+    "content_sha256": pa.array(["a"] * 3),
+})
+
+
+@given(report_tables(), st.integers(1, 4))
+@example((NULL_REPO_TABLE, [NULL_REPO_TABLE.slice(0, 1), NULL_REPO_TABLE.slice(1)]), 1)
+@settings(max_examples=80, deadline=None)
+def test_arrow_report_stats_equal_pandas_definitions(inp, cap):
+    """The Arrow report partials and locators equal their pandas
+    definitions, per batch and merged over any split into batches
+    (locators also with a cap below the flagged row count)."""
+    from unittest import mock
+
+    from qamd_ray import pipeline as P
+
+    t, batches = inp
+    sum_cols = FLAGS + ["n_rows", "n_keep"]
+    key = lambda d: (d["repo"] is None, d["repo"] or "")  # noqa: E731
+    want = sorted(_pandas_repo_partials(t), key=key)
+    got = P._repo_partials(t, FLAGS, True).to_pylist()
+    assert sorted(got, key=key) == want
+    merged = P._sum_partials([P._repo_partials(b, FLAGS, True) for b in batches], sum_cols)
+    assert merged.to_pylist() == [{k: d[k] for k in ["repo", *sum_cols]} for d in want]
+    assert merged.column_names == ["repo", *sum_cols]
+
+    fails = ["f_one", "f_two"]
+    with mock.patch.object(P, "LOCATOR_CAP", cap):
+        whole = P._locator_dict(P._locators(t, {c[2:]: t[c] for c in fails}))
+        assert whole == _pandas_locators(t, fails, cap)
+        parts = [P._locators(b, {c[2:]: b[c] for c in fails}) for b in batches]
+        if parts:
+            assert P._merge_locators(pa.concat_tables(parts)) == whole
+        # the manifest route: per-batch dicts through JSON, then merged
+        stats = [{"partials": P._repo_partials(b, FLAGS, True).to_pylist(),
+                  "locators": P._locator_dict(p)} for b, p in zip(batches, parts)]
+        rt, locs = P._merge_final_stats(json.loads(json.dumps(stats)), sum_cols)
+        assert rt.equals(merged) and locs == whole
+
+
+@given(report_tables())
+@example((NULL_REPO_TABLE, [NULL_REPO_TABLE.slice(0, 2), NULL_REPO_TABLE.slice(2)]))
+@settings(max_examples=80, deadline=None)
+def test_winner_merge_equals_pandas_definition(inp):
+    """The winner partials merged over any split into batches equal the
+    pandas definition: for every sha seen more than once, the smallest
+    ``f"{repo}\\x00{path}"`` key (a null sha has no winner)."""
+    import pandas as pd
+
+    from qamd_ray import pipeline as P
+
+    t, batches = inp
+    df = pd.DataFrame({
+        "content_sha256": t["content_sha256"].to_pylist(),
+        "key": [f"{r}\x00{p}" for r, p in zip(t["repo"].to_pylist(), t["path"].to_pylist())],
+    })
+    dups = df[df.duplicated("content_sha256", keep=False)]
+    want = dict(dups.groupby("content_sha256", sort=False)["key"].min().items())
+    assert P._merge_winners([P._winner_partials(b) for b in batches]) == want
+    assert P._merge_winners([P._winner_partials(t)]) == want
+
+
+def test_locators_beyond_the_real_cap():
+    """More flagged rows than ``LOCATOR_CAP``: the first ``LOCATOR_CAP`` in
+    (repo, path) order, per batch and merged."""
+    from qamd_ray import pipeline as P
+
+    n = P.LOCATOR_CAP + 300
+    rng = np.random.default_rng(0)
+    repo = [None if i % 97 == 0 else f"r{rng.integers(7)}" for i in range(n)]
+    path = [f"p{rng.integers(10_000)}é" for _ in range(n)]
+    flag = pa.array([i % 5 != 0 for i in range(n)])
+    t = pa.table({"repo": pa.array(repo, pa.string()), "path": pa.array(path, pa.string()),
+                  "f_x": flag})
+    whole = P._locator_dict(P._locators(t, {"x": t["f_x"]}))
+    assert whole == _pandas_locators(t, ["f_x"], P.LOCATOR_CAP)
+    assert len(whole["x"]) == P.LOCATOR_CAP
+    halves = [t.slice(0, n // 2), t.slice(n // 2)]
+    parts = pa.concat_tables([P._locators(h, {"x": h["f_x"]}) for h in halves])
+    assert P._merge_locators(parts) == whole
+
+
+@given(st.lists(st.one_of(st.none(), SCRUB_TEXT), min_size=1, max_size=10))
+@example([None, "mail a@example.com"])
+@example([None, "x", "mail josé@example.com now"])
+@settings(max_examples=60, deadline=None)
+def test_scrubber_does_not_depend_on_batch_boundaries(texts):
+    """The same rows give the same output under batch sizes 1, 2 and the
+    whole batch; a null stays null, and no email survives, non-ASCII
+    local parts included."""
+    s = Scrubber.from_config(quality_config())
+    t = pa.table({"content": pa.array(texts, pa.string())})
+    whole = s(t)
+    for size in (1, 2):
+        parts = [s(t.slice(i, size)) for i in range(0, len(texts), size)]
+        assert pa.concat_tables(parts).to_pylist() == whole.to_pylist()
+    out = whole["content"].to_pylist()
+    assert [o is None for o in out] == [x is None for x in texts]
+    email = next(p.pattern for p in s.patterns if p.name == "email")
+    assert not any(re.search(email, o) for o in out if o is not None)

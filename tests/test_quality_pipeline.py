@@ -413,3 +413,142 @@ def test_row_count_hints_are_checked(corpus, final_df):
     assert duplicate_winners(keys, n_rows=n) == duplicate_winners(keys)
     with pytest.raises(ValueError, match="duplicate_winners"):
         duplicate_winners(keys, n_rows=n - 1)
+
+
+@pytest.fixture
+def executions(monkeypatch):
+    """Counts the Ray Data executions started while the test runs."""
+    from ray.data._internal.execution import streaming_executor as se
+
+    started = []
+    real = se.StreamingExecutor.execute
+
+    def spy(self, *args, **kwargs):
+        started.append(1)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(se.StreamingExecutor, "execute", spy)
+    return started
+
+
+def test_checkpointed_run_starts_two_ray_data_executions(tmp_path, cfg, checkpointed, executions):
+    """Phases 1 and 3 are one Ray Data job each; the duplicate verdict is
+    merged on the driver without one.  A resume starts at most 2, and a
+    resume with every shard valid starts none."""
+    src, _, rep = checkpointed
+    out = str(tmp_path / "out")
+    assert _body(run_checkpointed(src, out, cfg, num_shards=4)) == _body(rep)
+    assert len(executions) == 2
+    executions.clear()
+    for rel in ("enriched/part=1", "final/part=1", "final/part=3"):
+        os.remove(os.path.join(out, rel, "manifest.json"))
+    assert _body(run_checkpointed(src, out, cfg, num_shards=4)) == _body(rep)
+    assert len(executions) == 2
+    executions.clear()
+    run_checkpointed(src, out, cfg, num_shards=4)
+    assert executions == []
+
+
+def test_tampered_winners_json_is_recomputed(tmp_path, cfg, checkpointed):
+    """The winner map is recomputed on every run: a tampered
+    ``winners.json`` is rewritten, and the resume reports what the fresh
+    run reported.  The final shards, flagged with the recomputed map's
+    digest, stay valid."""
+    src, out0, rep = checkpointed
+    out = str(tmp_path / "out")
+    shutil.copytree(out0, out)
+    wpath = os.path.join(out, "winners.json")
+    with open(wpath, "rb") as f:
+        good = f.read()
+    winners = json.loads(good)
+    assert winners
+    with open(wpath, "w") as f:
+        json.dump({sha: "zz\x00zz" for sha in winners}, f, sort_keys=True)
+    rep2 = run_checkpointed(src, out, cfg, num_shards=4)
+    assert _body(rep2) == _body(rep)
+    with open(wpath, "rb") as f:
+        assert f.read() == good
+    digest = hashlib.sha256(good).hexdigest()
+    for k in range(4):
+        with open(os.path.join(out, "final", f"part={k}", "manifest.json")) as f:
+            assert json.load(f)["winners"] == digest
+
+
+def test_final_manifest_of_another_winner_map_is_recomputed(tmp_path, cfg, checkpointed):
+    """A final manifest whose winner digest is not the current map's does
+    not validate: that shard is recomputed, and the report is unchanged."""
+    src, out0, rep = checkpointed
+    out = str(tmp_path / "out")
+    shutil.copytree(out0, out)
+    mpath = os.path.join(out, "final", "part=2", "manifest.json")
+    with open(mpath) as f:
+        m = json.load(f)
+    with open(mpath, "w") as f:
+        json.dump({**m, "winners": "0" * 64}, f)
+    rep2 = run_checkpointed(src, out, cfg, num_shards=4)
+    assert rep2["run"] == {"shards": 4, "phase1_skipped": 4, "phase3_skipped": 3}
+    assert _body(rep2) == _body(rep)
+    with open(mpath) as f:
+        assert json.load(f)["winners"] == m["winners"]
+
+
+def test_resume_with_other_num_shards_equals_fresh_run(tmp_path, cfg, checkpointed):
+    """A manifest validates only for the head it was built from (row count
+    and input row groups included): re-running with another ``num_shards``
+    recomputes every shard, ignores the surplus ``part=3`` and reports what
+    a fresh 3-shard run reports (the 4-shard manifests' row counts used to
+    add up, so 100 of the 400 rows went missing)."""
+    src, out0, rep = checkpointed
+    out = str(tmp_path / "out")
+    shutil.copytree(out0, out)
+    got = run_checkpointed(src, out, cfg, num_shards=3)
+    assert got["run"] == {"shards": 3, "phase1_skipped": 0, "phase3_skipped": 0}
+    assert _body(got) == _body(run_checkpointed(src, str(tmp_path / "fresh"), cfg, num_shards=3))
+    assert got["metadata"]["row_count"] == 400
+
+
+def test_winner_paths_agree(cfg, checkpointed):
+    """The file-based verdict, the Dataset verdict and the checkpointed
+    run's driver-side merge find the same winners."""
+    from qamd_ray.pipeline import _winners_from_files, content_keys, duplicate_winners
+
+    src, out, _ = checkpointed
+    with open(os.path.join(out, "winners.json")) as f:
+        written = json.load(f)
+    assert written
+    assert _winners_from_files(src) == written
+    assert duplicate_winners(content_keys(ray.data.read_parquet(src)), n_rows=400) == written
+
+
+def test_null_repo_and_path_rows_are_counted(tmp_path, corpus, cfg):
+    """Rows with a null repo count under a null repo group (they used to
+    vanish from ``row_count``, and ``repo_report(n_rows=N)`` raised); a
+    null repo or path keys the duplicate verdict as ``"None"``."""
+    t = strip_labels(corpus).slice(0, 60)
+    repo = [None if i < 5 else r for i, r in enumerate(t["repo"].to_pylist())]
+    path = [None if 3 <= i < 8 else p for i, p in enumerate(t["path"].to_pylist())]
+    content = t["content"].to_pylist()
+    content[1] = content[0] = content[20]  # a duplicate with a null repo
+    t = t.set_column(0, "repo", pa.array(repo, pa.string()))
+    t = t.set_column(t.column_names.index("path"), "path", pa.array(path, pa.string()))
+    t = t.set_column(t.column_names.index("content"), "content", pa.array(content, pa.string()))
+    final = quality_pipeline(ray.data.from_arrow(t), cfg).materialize()
+    rt = repo_report(final, n_rows=60)
+    rep = summary_report(rt, locators=locator_samples(final))
+    assert rep["metadata"]["row_count"] == 60
+    assert rep["metadata"]["repo_count"] == len(set(repo)) == rt.num_rows
+    assert rt["repo"].to_pylist()[-1] is None and rt["n_rows"].to_pylist()[-1] == 5
+
+    groups = {}
+    for r, p, c in zip(repo, path, content):
+        groups.setdefault(c, []).append(f"{r}\x00{p}")
+    df = final.to_pandas()
+    want = [len(groups[c]) > 1 and f"{r}\x00{p}" != min(groups[c])
+            for r, p, c in zip(df["repo"], df["path"], df["content_sha256"].map(
+                {hashlib.sha256(c.encode()).hexdigest(): c for c in content}.get))]
+    assert df["f_duplicate"].tolist() == want and sum(want) >= 2
+
+    src = str(tmp_path / "nulls.parquet")
+    pq.write_table(t, src, row_group_size=20)
+    ck = run_checkpointed(src, str(tmp_path / "out"), cfg, num_shards=2)
+    assert _body(ck) == rep
