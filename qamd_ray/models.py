@@ -18,7 +18,19 @@ Both are trained at construction time from the deterministic synthetic
 corpus (synth.clean_samples — fixed seed, no external data), so every
 worker builds byte-identical weights.  The corpus is generated once per
 process (``_training_bytes``) for both models, and the n-gram tables are
-counted with ``np.bincount``.
+counted with ``np.bincount``.  Both hash with ``_gram_hashes``, in
+training and in scoring.
+
+``LangIdModel.predict`` and ``PerplexityModel.bits_per_char`` are the
+per-text definitions (the oracle's).  The scorer stages compute the same
+over a whole batch in ``score_content``: one fused pass over the content
+column's Arrow buffers (no per-row ``str``), in chunks of whole documents
+of about ``CHUNK_BYTES``, so that each chunk's temporaries stay in cache.
+Per chunk, every trigram is hashed once; langid gathers the trigrams'
+class log-probs into one ``(classes, n)`` array and sums them per
+document with ``np.add.reduceat``, in float64; perplexity takes each
+document's ``.mean()`` of the per-trigram log-probabilities, which keeps
+``ppl_bits`` bit-identical to ``bits_per_char``.
 
 These are the pipeline's ONLY stateful stages (SURVEY.md §7).  They run
 as plain tasks: the ``ModelScorers`` callable carries only thresholds; the
@@ -41,6 +53,10 @@ from .config import Config
 from .synth import LANGS, clean_samples
 
 _CACHE: dict = {}
+# content bytes scored per step of ``score_content`` (whole documents; a
+# longer document is one step).  64 KB measured fastest: 256 KB was 10%
+# slower, one step per 512-row batch 1.7x slower.
+CHUNK_BYTES = 1 << 16
 
 
 def _bytes_of(s: str) -> np.ndarray:
@@ -63,24 +79,15 @@ def _training_bytes(samples_per_lang: int, seed: int) -> tuple[tuple[np.ndarray,
     return tuple(out)
 
 
-def _trigram_hashes(b: np.ndarray, dim: int) -> np.ndarray:
-    """Hashed char trigrams of one byte string (vectorized)."""
-    if len(b) < 3:
-        return np.zeros(0, dtype=np.int64)
-    x = b.astype(np.int64)
-    return (x[:-2] * 1_000_003 + x[1:-1] * 8191 + x[2:]) % dim
-
-
-def _ppl_hashes(
-    x: np.ndarray, dim3: int, dim2: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(trigram, context-bigram, bigram) hash streams of one int64 byte
-    sequence — the ONE definition shared by PerplexityModel.__init__ and
-    bits_per_char (scores are only meaningful while both hash identically)."""
-    h3 = (x[:-2] * 1_000_003 + x[1:-1] * 8191 + x[2:]) % dim3
-    hc2 = (x[:-2] * 8191 + x[1:-1]) % dim2
-    hb2 = (x[:-1] * 8191 + x[1:]) % dim2
-    return h3, hc2, hb2
+def _gram_hashes(b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(trigram hashes, bigram hashes, bytes) of a uint8 byte sequence, all
+    uint32: per start p, ``x[p]*1_000_003 + x[p+1]*8191 + x[p+2]`` and
+    ``x[p]*8191 + x[p+1]``.  The ONE hash of both models, in training and
+    in scoring.  It stays below 2**32, so ``h & (dim - 1)`` is ``h % dim``
+    for every power-of-two table."""
+    x = b.astype(np.uint32)
+    bi = x[:-1] * 8191 + x[1:]
+    return x[:-2] * 1_000_003 + bi[1:], bi, x
 
 
 class LangIdModel:
@@ -97,7 +104,7 @@ class LangIdModel:
         counts = np.stack(
             [
                 np.bincount(
-                    np.concatenate([_trigram_hashes(b, self.DIM) for b in texts]),
+                    np.concatenate([_gram_hashes(b)[0] for b in texts]) & (self.DIM - 1),
                     minlength=self.DIM,
                 )
                 for texts in _training_bytes(self.SAMPLES_PER_LANG, self.SEED)
@@ -105,7 +112,9 @@ class LangIdModel:
         ).astype(np.float64)
         totals = counts.sum(axis=1, keepdims=True)
         logp = np.log(counts + self.ALPHA) - np.log(totals + self.ALPHA * self.DIM)
-        self.logp = logp.astype(np.float32)
+        # the weights are rounded to float32, and held in float64 so that
+        # every sum of them accumulates in float64
+        self.logp = logp.astype(np.float32).astype(np.float64)
 
     @classmethod
     def default(cls) -> "LangIdModel":
@@ -114,30 +123,39 @@ class LangIdModel:
             _CACHE[key] = cls()
         return _CACHE[key]
 
+    def class_scores(self, tri: np.ndarray) -> np.ndarray:
+        """Per-class log-likelihood of one text's trigram hashes, summed in
+        float64 (summed in float32, a 35 KB document drifts ~90 nats and
+        can pick the wrong class)."""
+        return self.logp[:, tri & (self.DIM - 1)].sum(axis=1, dtype=np.float64)
+
+    def posterior(self, scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(argmax class index, posterior of the argmax) per row of an
+        ``(n, classes)`` score matrix."""
+        j = scores.argmax(axis=1)
+        post = np.exp(scores - scores.max(axis=1, keepdims=True))
+        return j, post[np.arange(len(j)), j] / post.sum(axis=1)
+
+    def labels(self, j: np.ndarray) -> np.ndarray:
+        """Class names of class indices; -1 (too short to score) is ""."""
+        return np.array(self.classes + [""], dtype=object)[j]
+
     def predict(self, texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
         """→ (predicted lang per text, posterior confidence of the argmax).
 
-        Empty/ultra-short texts predict "" with confidence 0.
-
-        Deliberately a per-document loop over small gathers: the batched
-        alternative (one concatenated gather + reduceat) materializes a
-        (classes × total_ngrams) matrix ~100 MB per batch and goes memory-
-        bandwidth-bound when many tasks run concurrently; per-doc gathers
-        keep the sub-MB ``logp`` table cache-resident and scale with CPUs.
+        Empty/ultra-short texts predict "" with confidence 0.  This is the
+        per-text definition; ``score_content`` computes the same over a
+        batch's Arrow buffers.
         """
         n = len(texts)
-        preds = np.full(n, "", dtype=object)
+        j = np.full(n, -1)
         confs = np.zeros(n, dtype=np.float64)
-        for i, t in enumerate(texts):
-            h = _trigram_hashes(_bytes_of(t or ""), self.DIM)
-            if len(h) == 0:
-                continue
-            scores = self.logp[:, h].sum(axis=1)
-            j = int(np.argmax(scores))
-            post = np.exp(scores - scores.max())
-            confs[i] = post[j] / post.sum()
-            preds[i] = self.classes[j]
-        return preds, confs
+        tris = [_gram_hashes(_bytes_of(t or ""))[0] for t in texts]
+        rows = np.array([i for i, tri in enumerate(tris) if len(tri)], dtype=np.int64)
+        if len(rows):
+            scores = np.stack([self.class_scores(tris[i]) for i in rows])
+            j[rows], confs[rows] = self.posterior(scores)
+        return self.labels(j), confs
 
 
 class PerplexityModel:
@@ -151,18 +169,26 @@ class PerplexityModel:
     SEED = 7
 
     def __init__(self):
-        dim3, dim2 = self.DIM3, self.DIM2
-        per_text = [
-            (*_ppl_hashes(x, dim3, dim2), x[:-1], x)
-            for texts in _training_bytes(self.SAMPLES_PER_LANG, self.SEED)
-            for x in (b.astype(np.int64) for b in texts if len(b) >= 3)
-        ]
-        # count(c1 c2 c), count(c1 c2 ·), count(c1 c), count(c1 ·), count(c)
+        m3, m2 = self.DIM3 - 1, self.DIM2 - 1
+        per_text = []
+        for texts in _training_bytes(self.SAMPLES_PER_LANG, self.SEED):
+            for b in texts:
+                if len(b) >= 3:
+                    tri, bi, x = _gram_hashes(b)
+                    per_text.append((tri & m3, bi[:-1] & m2, bi & m2, x[:-1], x))
+        # count(c1 c2 c), count(c1 c2 ·), count(c1 c), count(c1 ·), count(c);
+        # every count is an integer below 2**24, so float32 holds it exactly
+        # and takes half the memory of the largest table
         self.t3, self.c2, self.b2, self.c1, self.u1 = (
-            np.bincount(np.concatenate(col), minlength=dim).astype(np.float64)
-            for col, dim in zip(zip(*per_text), (dim3, dim2, dim2, 256, 256))
+            np.bincount(np.concatenate(col), minlength=dim).astype(np.float32)
+            for col, dim in zip(zip(*per_text), (self.DIM3, self.DIM2, self.DIM2, 256, 256))
         )
-        self.total = self.u1.sum()
+        self.total = float(self.u1.sum(dtype=np.float64))
+        # the byte-indexed terms of ``log2p`` as 256-entry tables, each
+        # computed with the same float64 operations as per trigram
+        a, l1 = self.ALPHA, self.LAMBDAS[2]
+        self.c1_denom = self.c1.astype(np.float64) + a * 256.0
+        self.l1_p1 = l1 * ((self.u1.astype(np.float64) + a) / (self.total + a * 256.0))
 
     @classmethod
     def default(cls) -> "PerplexityModel":
@@ -171,24 +197,91 @@ class PerplexityModel:
             _CACHE[key] = cls()
         return _CACHE[key]
 
+    def log2p(self, tri: np.ndarray, bi: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """log2 of the interpolated probability of each trigram start of
+        ``_gram_hashes``' streams, in float64 (the counts are widened
+        before any arithmetic)."""
+        a, (l3, l2, _) = self.ALPHA, self.LAMBDAS
+        f64 = np.float64
+        bm = bi & (self.DIM2 - 1)
+        p3 = np.add(self.t3.take(tri & (self.DIM3 - 1)), a, dtype=f64) / np.add(
+            self.c2.take(bm[:-1]), a * 256.0, dtype=f64
+        )
+        p2 = np.add(self.b2.take(bm[1:]), a, dtype=f64) / self.c1_denom.take(x[1:-1])
+        return np.log2(l3 * p3 + l2 * p2 + self.l1_p1.take(x[2:]))
+
     def bits_per_char(self, texts: Sequence[str]) -> np.ndarray:
-        """Vectorized per-text cross-entropy in bits/char (0.0 for texts
-        shorter than 3 bytes — too short to score)."""
-        a = self.ALPHA
-        l3, l2, l1 = self.LAMBDAS
+        """Per-text cross-entropy in bits/char (0.0 for texts shorter than
+        3 bytes — too short to score).  The per-text definition;
+        ``score_content`` computes the same over a batch."""
         out = np.zeros(len(texts), dtype=np.float64)
         for i, t in enumerate(texts):
             b = _bytes_of(t or "")
-            if len(b) < 3:
-                continue
-            x = b.astype(np.int64)
-            h3, hc2, hb2 = _ppl_hashes(x, self.DIM3, self.DIM2)
-            p3 = (self.t3[h3] + a) / (self.c2[hc2] + a * 256.0)
-            p2 = (self.b2[hb2[1:]] + a) / (self.c1[x[1:-1]] + a * 256.0)
-            p1 = (self.u1[x[2:]] + a) / (self.total + a * 256.0)
-            p = l3 * p3 + l2 * p2 + l1 * p1
-            out[i] = float(-np.log2(p).mean())
+            if len(b) >= 3:
+                out[i] = -self.log2p(*_gram_hashes(b)).mean()
         return out
+
+
+# ---------------------------------------------------------------------------
+# the batch kernel
+# ---------------------------------------------------------------------------
+
+
+def _score_strings(
+    arr: pa.Array, langid: Optional[LangIdModel], ppl: Optional[PerplexityModel]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(langid class index or -1, langid confidence, ppl bits) per row of a
+    null-free string array, read from its buffers chunk by chunk."""
+    n = len(arr)
+    j = np.full(n, -1)
+    confs = np.zeros(n, dtype=np.float64)
+    bits = np.zeros(n, dtype=np.float64)
+    if n == 0:
+        return j, confs, bits
+    offs, data = K._string_buffers(arr)
+    offs = offs.astype(np.int64)
+    scored = np.flatnonzero(offs[1:] - offs[:-1] >= 3)
+    scores = np.zeros((len(scored), len(langid.classes)), dtype=np.float64) if langid else None
+    # chunks: runs of scored rows whose bytes span about CHUNK_BYTES
+    starts, ends = offs[scored], offs[scored + 1]
+    k, m = 0, len(scored)
+    while k < m:
+        k1 = max(int(np.searchsorted(ends, starts[k] + CHUNK_BYTES, "right")), k + 1)
+        a, b = starts[k], ends[k1 - 1]
+        tri, bi, x = _gram_hashes(data[a:b])
+        # row r's trigrams start at s[r] .. e[r] - 1 of the chunk's streams;
+        # the starts between rows cross a row boundary or lie in a row too
+        # short to score
+        s, e = starts[k:k1] - a, ends[k:k1] - a - 2
+        if langid is not None:
+            g = langid.logp.take(tri & (langid.DIM - 1), axis=1)
+            bounds = np.stack([s, e], axis=1).ravel()[:-1]  # e[-1] == len(tri)
+            scores[k:k1] = np.add.reduceat(g, bounds, axis=1)[:, ::2].T
+            del g  # 48 bytes per content byte: not kept through the ppl pass
+        if ppl is not None:
+            lp = ppl.log2p(tri, bi, x)
+            bits[scored[k:k1]] = [-lp[p:q].mean() for p, q in zip(s.tolist(), e.tolist())]
+        k = k1
+    if langid is not None and len(scored):
+        j[scored], confs[scored] = langid.posterior(scores)
+    return j, confs, bits
+
+
+def score_content(
+    col, langid: Optional[LangIdModel], ppl: Optional[PerplexityModel]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``LangIdModel.predict`` (as class indices, -1 for "") and
+    ``PerplexityModel.bits_per_char`` of every row of a string column
+    (Array or ChunkedArray; a null scores as ""), with one pass over its
+    Arrow buffers — a model passed as None is not scored."""
+    chunks = col.chunks if isinstance(col, pa.ChunkedArray) else [col]
+    parts = [
+        _score_strings(pc.fill_null(ch, "") if ch.null_count else ch, langid, ppl)
+        for ch in chunks
+    ]
+    if not parts:
+        return np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0)
+    return tuple(np.concatenate(p) for p in zip(*parts))
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +317,13 @@ class LangIdScorer:
         return kw
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        texts = K._as_array(pc.fill_null(batch["content"], "")).to_pylist()
-        preds, confs = self.model.predict(texts)
+        j, confs, _ = score_content(batch["content"], self.model, None)
+        return self.append(batch, j, confs)
+
+    def append(self, batch: pa.Table, j: np.ndarray, confs: np.ndarray) -> pa.Table:
+        """``batch`` with the stage's columns for class indices ``j`` and
+        confidences ``confs`` (from ``score_content``)."""
+        preds = self.model.labels(j)
         declared = np.asarray(
             K._as_array(pc.fill_null(batch["lang"], "")), dtype=object
         )
@@ -259,15 +357,18 @@ class PerplexityScorer:
         return {"max_bits_per_char": float(q.perplexity_max_bits_per_char.setting)}
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        texts = K._as_array(pc.fill_null(batch["content"], "")).to_pylist()
-        bits = self.model.bits_per_char(texts)
+        return self.append(batch, score_content(batch["content"], None, self.model)[2])
+
+    def append(self, batch: pa.Table, bits: np.ndarray) -> pa.Table:
+        """``batch`` with the stage's columns for scores ``bits``."""
         return batch.append_column("ppl_bits", pa.array(bits)).append_column(
             "f_perplexity", pa.array(bits > self.max_bits)
         )
 
 
 class ModelScorers:
-    """Fused scorer stage: langid + perplexity in ONE map_batches pass.
+    """Fused scorer stage: langid + perplexity in ONE map_batches pass
+    and one ``score_content`` pass over the content.
 
     Each sub-stage is config-gated — pass only the kwargs of the enabled
     models (see :func:`from_config`).
@@ -308,8 +409,13 @@ class ModelScorers:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         langid, ppl = self._resolve()
+        j, confs, bits = score_content(
+            batch["content"],
+            langid.model if langid is not None else None,
+            ppl.model if ppl is not None else None,
+        )
         if langid is not None:
-            batch = langid(batch)
+            batch = langid.append(batch, j, confs)
         if ppl is not None:
-            batch = ppl(batch)
+            batch = ppl.append(batch, bits)
         return batch

@@ -207,8 +207,8 @@ def oracle_labels(table: pa.Table, config: Config) -> pa.Table:
         scrubbed = []
         for c in contents:
             s = c
-            for _name, rx, repl in scrubber.compiled:
-                s = rx.sub(repl, s)
+            for p in scrubber.patterns:
+                s = re.sub(p.pattern, p.replace, s)
             scrubbed.append(s)
     else:
         scrubbed = contents

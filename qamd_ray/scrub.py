@@ -21,7 +21,9 @@ Two-phase per batch, keeping the hot path vectorized:
      skipped on a row that lacks it.  The prefilter only picks rows: RE2's
      ASCII-only ``\w`` and ``\b`` differ from Python's, so the Python
      patterns decide what is rewritten, and a row holding a required
-     literal is a candidate even when RE2 finds no match in it.
+     literal is a candidate even when RE2 finds no match in it.  The
+     email pattern runs as ``EmailScan``, which returns what ``re.subn``
+     returns but tries a match only at each "@".
 
 Patterns are compiled once in ``Scrubber.__init__`` (driver-side; the
 reference recompiled its regexes per value inside the loop, post.rs:370 —
@@ -59,8 +61,9 @@ class ScrubPattern:
 # (gen_config.rs:16-20, default.yaml:148-152 UK mobile); credential shapes
 # are standard public patterns (AWS key ids, PEM headers, password/token
 # assignments).
+EMAIL = r"[\w.+-]+@[\w-]+(?:\.[\w-]{2,})+"
 DEFAULT_PATTERNS: list[ScrubPattern] = [
-    ScrubPattern("email", r"[\w.+-]+@[\w-]+(?:\.[\w-]{2,})+", "<EMAIL>", "@"),
+    ScrubPattern("email", EMAIL, "<EMAIL>", "@"),
     ScrubPattern(
         "phone",
         r"(?:\+44\s?7\d{3}|\(?07\d{3}\)?)\s?\d{3}\s?\d{3}\b",  # UK mobile, default.yaml:151
@@ -74,6 +77,35 @@ DEFAULT_PATTERNS: list[ScrubPattern] = [
         r"\1\2<SECRET>",
     ),
 ]
+
+
+class EmailScan:
+    r"""``subn`` of the ``EMAIL`` pattern that tries a match only at each
+    "@": ``re`` would try one at every position, re-reading the rest of a
+    run of ``[\w.+-]`` each time.  A match's local part is the run of
+    ``[\w.+-]`` that ends at its "@" (no "@" is in that class), so the
+    leftmost match at or after the scan position is the first "@" with a
+    non-empty run before it, from the run's start or the scan position,
+    whichever is later, whose match succeeds there."""
+
+    def __init__(self):
+        self.rx = re.compile(EMAIL)
+        self.local = re.compile(r"[\w.+-]*")  # run before an "@", read backwards
+
+    def subn(self, repl: str, s: str) -> tuple[str, int]:
+        rev, n = s[::-1], len(s)
+        parts, pos, count = [], 0, 0
+        at = s.find("@")
+        while at >= 0:
+            start = n - self.local.match(rev, n - at, n - pos).end()
+            m = self.rx.match(s, start) if start < at else None
+            if m is None:
+                at = s.find("@", at + 1)
+                continue
+            parts += (s[pos:start], m.expand(repl))
+            pos, count = m.end(), count + 1
+            at = s.find("@", pos)
+        return "".join(parts) + s[pos:], count
 
 
 def toxicity_pattern(lexicon: list[str]) -> ScrubPattern:
@@ -99,7 +131,10 @@ class Scrubber:
         if toxicity_lexicon:
             pats.append(toxicity_pattern(toxicity_lexicon))
         self.patterns = pats
-        self.compiled = [(p.name, re.compile(p.pattern), p.replace) for p in pats]
+        self.compiled = [
+            (p.name, EmailScan() if p.pattern == EMAIL else re.compile(p.pattern), p.replace)
+            for p in pats
+        ]
         self.literals = [p.literal for p in pats]
         # vectorized prefilter; a pattern that RE2 cannot compile leaves
         # every row a candidate (prefilters None).  A row holding a required

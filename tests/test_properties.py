@@ -598,3 +598,98 @@ def test_scrubber_does_not_depend_on_batch_boundaries(texts):
     assert [o is None for o in out] == [x is None for x in texts]
     email = next(p.pattern for p in s.patterns if p.name == "email")
     assert not any(re.search(email, o) for o in out if o is not None)
+
+
+# --- the model stage's batch kernel against the per-text definitions --------
+
+# nulls, "", 1- and 2-byte rows, ASCII code, any non-surrogate code point
+# (4-byte UTF-8 included) and longer documents
+DOC = st.one_of(
+    st.none(),
+    st.just(""),
+    st.text(alphabet=string.ascii_letters + " \n", min_size=1, max_size=2),
+    st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=30),
+    st.text(alphabet=string.printable, min_size=3, max_size=120),
+)
+
+
+@st.composite
+def content_columns(draw):
+    """(texts, chunk size, column type, column form): the column is a
+    plain array, a slice of a longer array (nonzero offset) or a
+    ChunkedArray; the chunk size is small, the default, or one that makes
+    some document end exactly on a chunk edge."""
+    texts = draw(st.lists(DOC, max_size=12))
+    sizes = [len((t or "").encode()) for t in texts]
+    ends = np.cumsum(sizes)
+    scored = [i for i, n in enumerate(sizes) if n >= 3]
+    edges = [int(ends[i] - (ends[scored[0]] - sizes[scored[0]])) for i in scored]
+    chunk = draw(st.one_of(st.integers(1, 48), st.just(1 << 16), *(
+        [st.sampled_from(edges)] if edges else []
+    )))
+    typ = draw(st.sampled_from([pa.string(), pa.large_string()]))
+    form = draw(st.sampled_from(["array", "sliced", "chunked"]))
+    return texts, chunk, typ, form
+
+
+def _content_column(texts, typ, form):
+    if form == "sliced":
+        return pa.array(["pre", None, *texts, "post"], typ).slice(2, len(texts))
+    if form == "chunked":
+        cuts = [0, len(texts) // 3, len(texts) // 3, (2 * len(texts)) // 3, len(texts)]
+        return pa.chunked_array(
+            [pa.array(texts[a:b], typ) for a, b in zip(cuts, cuts[1:])], typ
+        )
+    return pa.array(texts, typ)
+
+
+@given(content_columns())
+@example((["abcdef", "ghij", "x", "klmnopqrstuv", "é😀z"], 10, pa.string(), "array"))
+@example((["abcdef", "ghij", "x", "klmnopqrstuv", "é😀z"], 4, pa.string(), "sliced"))
+@example((["ab", "", None, "x"], 1, pa.string(), "chunked"))
+@example(([], 16, pa.large_string(), "chunked"))
+@settings(max_examples=150, deadline=None)
+def test_model_batch_kernel_equals_per_text_definitions(inp):
+    """``ModelScorers`` (and each scorer alone) over a batch's Arrow
+    buffers, in chunks of whole documents, equals ``LangIdModel.predict``
+    and ``PerplexityModel.bits_per_char`` per text: the same predictions,
+    confidences within 1e-12 and bit-equal perplexities."""
+    from unittest import mock
+
+    from qamd_ray import models as M
+
+    texts, chunk, typ, form = inp
+    col = _content_column(texts, typ, form)
+    lang = pa.chunked_array([pa.array(["python"] * len(texts), pa.string())])
+    t = pa.Table.from_arrays(
+        [col if isinstance(col, pa.ChunkedArray) else pa.chunked_array([col], typ), lang],
+        names=["content", "lang"],
+    )
+    filled = [x or "" for x in texts]
+    preds, confs = M.LangIdModel.default().predict(filled)
+    bits = M.PerplexityModel.default().bits_per_char(filled)
+    with mock.patch.object(M, "CHUNK_BYTES", chunk):
+        out = M.ModelScorers(langid_kwargs={}, ppl_kwargs={})(t)
+        alone = M.PerplexityScorer()(M.LangIdScorer()(t))
+    assert alone.equals(out)
+    assert out["langid_pred"].to_pylist() == list(preds)
+    got = np.asarray(out["langid_conf"].to_pylist(), dtype=np.float64)
+    assert np.all(np.abs(got - confs) <= 1e-12)
+    got = np.asarray(out["ppl_bits"].to_pylist(), dtype=np.float64)
+    assert got.tobytes() == bits.tobytes()
+
+
+EMAIL_TEXT = st.text(alphabet="ab_.+-@ é1\n", max_size=40)
+
+
+@given(EMAIL_TEXT, st.sampled_from(["<EMAIL>", r"[\g<0>]", ""]))
+@example("a@b.cc.x+y@d.ee", "<EMAIL>")
+@example("ab@cd.ef@gh.ij a@b.c@d.ee", "<EMAIL>")
+@settings(max_examples=300, deadline=None)
+def test_email_scan_equals_the_email_regex(s, repl):
+    """The "@"-anchored email scan returns what ``re.subn`` of the email
+    pattern returns, text and count, including runs of addresses whose
+    local part starts where the previous match ended."""
+    from qamd_ray.scrub import EMAIL, EmailScan
+
+    assert EmailScan().subn(repl, s) == re.compile(EMAIL).subn(repl, s)

@@ -152,8 +152,22 @@ def test_absent_config_keys_skip_rules():
 
 def test_model_tables_equal_the_per_text_construction():
     """The bincount tables over the shared training corpus equal the
-    per-text ``np.add.at`` construction (kept here as the reference)."""
-    from qamd_ray.models import _bytes_of, _ppl_hashes, _trigram_hashes
+    per-text ``np.add.at`` construction (kept here as the reference), with
+    the hashes written out in int64 and ``%`` as the models first defined
+    them."""
+    from qamd_ray.models import _bytes_of
+
+    def _trigram_hashes(b, dim):
+        if len(b) < 3:
+            return np.zeros(0, dtype=np.int64)
+        x = b.astype(np.int64)
+        return (x[:-2] * 1_000_003 + x[1:-1] * 8191 + x[2:]) % dim
+
+    def _ppl_hashes(x, dim3, dim2):
+        h3 = (x[:-2] * 1_000_003 + x[1:-1] * 8191 + x[2:]) % dim3
+        hc2 = (x[:-2] * 8191 + x[1:-1]) % dim2
+        hb2 = (x[:-1] * 8191 + x[1:]) % dim2
+        return h3, hc2, hb2
 
     lm = LangIdModel()
     counts = np.zeros((len(lm.classes), lm.DIM), dtype=np.float64)
@@ -186,3 +200,49 @@ def test_model_tables_equal_the_per_text_construction():
     for got, want in zip((pm.t3, pm.c2, pm.b2, pm.c1, pm.u1), (t3, c2, b2, c1, u1)):
         assert np.array_equal(got, want)
     assert pm.total == u1.sum()
+
+
+def test_langid_sums_long_documents_in_float64():
+    """On a ~35 KB document (a "huge" defect: code plus 8000 "pad "), the
+    class scores equal ``math.fsum`` of the log-probs, and the winner is
+    the exact one, which float32 accumulation (~95 nats off) misses."""
+    import math
+
+    from qamd_ray.models import _bytes_of, _gram_hashes
+    from qamd_ray.synth import gen_content
+
+    text = gen_content("python", np.random.default_rng(6), n_lines=140) + "\n" + "pad " * 8000
+    assert 35_000 < len(text) < 36_000
+    lm = LangIdModel.default()
+    tri = _gram_hashes(_bytes_of(text))[0]
+    rows = lm.logp[:, tri & (lm.DIM - 1)]
+    exact = np.array([math.fsum(r) for r in rows])
+    assert np.allclose(lm.class_scores(tri), exact, rtol=1e-9, atol=0)
+    winner = lm.classes[int(np.argmax(exact))]
+    assert winner == "c"
+    assert lm.classes[int(np.argmax(rows.astype(np.float32).sum(axis=1)))] != winner
+    assert list(lm.predict([text])[0]) == [winner]
+    assert LangIdScorer()(_batch(content=[text]))["langid_pred"].to_pylist() == [winner]
+
+
+def test_model_build_memory_stays_small():
+    """Building both models in a fresh process raises its peak RSS by at
+    most 60 MB: no scoring table may be built at the cost of the peak
+    (``ru_maxrss`` survives ``execve``, so a parent that builds the models
+    passes its peak to every process it starts)."""
+    import os
+    import subprocess
+    import sys
+
+    code = (
+        "import resource\n"
+        "from qamd_ray.models import LangIdModel, PerplexityModel\n"
+        "r0 = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "LangIdModel(); PerplexityModel()\n"
+        "print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - r0) / 1024)\n"
+    )
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", code], cwd=root, capture_output=True, text=True, check=True
+    )
+    assert float(out.stdout) <= 60.0
